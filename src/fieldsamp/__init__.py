@@ -41,7 +41,6 @@ from .kernels import (
     kernel_rect,
 )
 from .scattering import (
-    PsdSample,
     ScatteringScenario,
     VmfCluster,
     psd,

@@ -463,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-list", default="2,4,8,16,20",
                    help="comma-separated region sides in wavelengths")
     p.add_argument("--realizations", type=int, default=500)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="at least 1; changes neither the results nor the execution, "
+                        "since BLAS already threads the matrix products (default 1)")
     p.set_defaults(func=cmd_mse_sweep)
 
     p = sub.add_parser("support-fit", help="fit the spectral support of a scenario")

@@ -20,12 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from ._quad import ConvergenceError, gauss_legendre
-from .geometry import TWO_PI, EllipseShape, WaveVector, Wavenumber, _as_xy
+from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy
 
 __all__ = [
     "VmfCluster",
     "ScatteringScenario",
-    "PsdSample",
     "spectral_factor_sq",
     "psd",
     "support_at_threshold",
@@ -155,14 +154,6 @@ class ScatteringScenario:
         """SHA-256 of the canonical JSON document; identifies the scenario."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class PsdSample:
-    """Power spectral density value at one wavevector."""
-
-    k: WaveVector
-    value: float
 
 
 def _hemisphere_exp_integral(cluster: VmfCluster) -> float:

@@ -137,17 +137,9 @@ class NumericAcf(Acf):
         )
 
 
-_NUMERIC_CACHE: dict[ScatteringScenario, NumericAcf] = {}
-
-
 def acf_numeric(s: ScatteringScenario, r, tol: float = 1e-6) -> complex:
     """Autocorrelation of scenario ``s`` at displacement ``r`` by quadrature."""
-    key = s
-    inst = _NUMERIC_CACHE.get(key)
-    if inst is None or inst.tol > tol:
-        inst = NumericAcf(s, tol=tol)
-        _NUMERIC_CACHE[key] = inst
-    return inst(r)
+    return NumericAcf(s, tol=tol)(r)
 
 
 @dataclass(frozen=True)
@@ -265,6 +257,38 @@ def _plane_wave_sum(positions: np.ndarray, k: np.ndarray, gains: np.ndarray) -> 
     out.real = c @ gains.real - sn @ gains.imag
     out.imag = c @ gains.imag + sn @ gains.real
     return out
+
+
+def _exp_table(lo: int, hi: int, b: np.ndarray) -> np.ndarray:
+    """exp(i n b_m) for n = lo..hi, as a (hi - lo + 1, len(b)) table.
+
+    Each row is the product of a row of a coarse table (stride c) and a row
+    of a fine one (offsets 0..c-1), so only about 2*sqrt(hi - lo + 1) rows
+    need the costly complex exponential and every entry carries a single
+    extra rounding.
+    """
+    count = hi - lo + 1
+    c = math.isqrt(count - 1) + 1
+    coarse = np.exp(1j * np.outer(lo + c * np.arange(-(-count // c)), b))
+    fine = np.exp(1j * np.outer(np.arange(c), b))
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(b))[:count]
+
+
+def _lattice_wave_sum(q: np.ndarray, indices: np.ndarray, k: np.ndarray,
+                      gains: np.ndarray) -> np.ndarray:
+    """sum_m g_m exp(i (Q n) . k_m) at the integer lattice indices n.
+
+    With ``b = Q.T @ k`` each wave factors as ``exp(i n1 b1) exp(i n2 b2)``,
+    so the sum over the whole index box is one complex matrix product of two
+    small exponential tables, from which the requested indices are gathered.
+    """
+    b = k @ q
+    lo = indices.min(axis=0)
+    hi = indices.max(axis=0)
+    e1 = _exp_table(lo[0], hi[0], b[:, 0])
+    e2 = _exp_table(lo[1], hi[1], b[:, 1])
+    box = e1 @ (e2 * gains).T
+    return box[indices[:, 0] - lo[0], indices[:, 1] - lo[1]]
 
 
 def _scenario_directions(s: ScatteringScenario, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -33,8 +33,9 @@ from fieldsamp import (
     reconstruct,
     rotation_matrix,
 )
-from fieldsamp.analysis import AutocorrMatrix
+from fieldsamp.analysis import AutocorrMatrix, _interp_matrix
 from fieldsamp.scattering import ScatteringScenario
+from fieldsamp.statfield import _draw_waves, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster
 
 LAM = 1.0
@@ -256,12 +257,40 @@ class TestMseExperiment:
     def test_deterministic_across_workers(self):
         q = nyquist_hex(KN)
         kern = kernel_disk(KN)
-        kwargs = dict(n_realizations=6, seed=7, n_waves=48)
-        a = mse_experiment(ISO, q, kern, Region(side=2.0 * LAM), **kwargs)
-        b = mse_experiment(ISO, q, kern, Region(side=2.0 * LAM), workers=3,
-                           **kwargs)
-        assert np.array_equal(a.pointwise, b.pointwise)
-        assert a.average == b.average
+        # 37 is not a multiple of the realization block
+        for n_realizations in (6, 37):
+            kwargs = dict(n_realizations=n_realizations, seed=7, n_waves=48)
+            a = mse_experiment(ISO, q, kern, Region(side=2.0 * LAM), **kwargs)
+            b = mse_experiment(ISO, q, kern, Region(side=2.0 * LAM), workers=3,
+                               **kwargs)
+            assert np.array_equal(a.pointwise, b.pointwise)
+            assert a.average == b.average
+
+    @pytest.mark.parametrize("q, kern", [
+        (nyquist_hex(KN), kernel_disk(KN)),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)),
+         kernel_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6))),
+    ], ids=["hex-disk", "rotated-ellipse"])
+    def test_matches_per_realization_reference(self, q, kern):
+        # one direct plane-wave sum and one matrix-vector product per
+        # realization, on the same substreams as mse_experiment
+        s = broadside_cluster(40.0)
+        region = Region(side=4.0 * LAM)
+        n_real, n_waves, seed = 37, 64, 11
+        rep = mse_experiment(s, q, kern, region, n_realizations=n_real,
+                             seed=seed, n_waves=n_waves)
+        pts = enumerate_lattice(q, region)
+        gx, gy = np.meshgrid(rep.axis, rep.axis, indexing="ij")
+        eval_pos = np.column_stack([gx.ravel(), gy.ravel()])
+        f = _interp_matrix(kern, eval_pos, pts.positions)
+        errors = np.zeros(len(eval_pos))
+        for i in range(n_real):
+            k, gains = _draw_waves(s, np.random.default_rng([seed, i]), n_waves)
+            es = _plane_wave_sum(pts.positions, k, gains) / math.sqrt(n_waves)
+            truth = _plane_wave_sum(eval_pos, k, gains) / math.sqrt(n_waves)
+            errors += np.abs(truth - f @ es) ** 2
+        ref = (errors / n_real).reshape(rep.pointwise.shape)
+        np.testing.assert_allclose(rep.pointwise, ref, rtol=1e-12, atol=0.0)
 
     def test_report_consistency(self):
         q = nyquist_hex(KN)

@@ -7,17 +7,23 @@ import pytest
 
 from fieldsamp import (
     ClarkeAcf,
+    EllipseShape,
     FieldRealization,
     NumericAcf,
+    Region,
     ScatteringScenario,
     VmfCluster,
     Wavenumber,
     acf_clarke,
     acf_numeric,
     average_energy,
+    enumerate_lattice,
+    nyquist_ellipse,
+    nyquist_hex,
+    nyquist_rect,
     synthesize,
 )
-from fieldsamp.statfield import _draw_waves
+from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import broadside_cluster, two_cluster_scenario
 
 LAM = 1.0
@@ -143,6 +149,33 @@ class TestSynthesize:
             synthesize(ISO, [(0.0, 0.0, 0.0)], seed=1)
         with pytest.raises(ValueError):
             synthesize(ISO, [(0.0, 0.0)], seed=1, n_waves=0)
+
+
+class TestLatticeWaveSum:
+    @pytest.mark.parametrize("q", [
+        nyquist_rect(KN),
+        nyquist_hex(KN),
+        nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)),
+    ], ids=["rect", "hex", "rotated-ellipse"])
+    def test_matches_direct_sum_on_lattice(self, q):
+        pts = enumerate_lattice(q, Region(side=16.0 * LAM))
+        k, gains = _draw_waves(broadside_cluster(40.0),
+                               np.random.default_rng([3, 1]), 512)
+        out = _lattice_wave_sum(q.q, pts.indices, k, gains)
+        ref = _plane_wave_sum(pts.positions, k, gains)
+        assert np.abs(out - ref).max() < 1e-10
+
+    def test_matches_direct_sum_on_eval_grid(self):
+        # the MSE evaluation grid: lattice step*I over a square index box
+        step = LAM / 8.0
+        axis = np.arange(-64, 65)
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        idx = np.column_stack([g1.ravel(), g2.ravel()])
+        k, gains = _draw_waves(two_cluster_scenario(),
+                               np.random.default_rng([3, 2]), 512)
+        out = _lattice_wave_sum(step * np.eye(2), idx, k, gains)
+        ref = _plane_wave_sum(idx * step, k, gains)
+        assert np.abs(out - ref).max() < 1e-10
 
 
 class TestFieldRealization:
