@@ -80,8 +80,9 @@ def count_wavenumber_modes(s: SpectralSupport, region: Region) -> int:
     decided exactly when the radius ``kappa*L/(2*pi)`` is itself exact.
     """
     radius = s.kn.kappa * region.side / TWO_PI
-    stretch = 1.0 if s.kind != "ellipse" else 1.0 / s.shape.a2
-    bound = int(math.ceil(radius * stretch)) + 1
+    # the ellipse lies inside the disk of radius a1 * radius
+    reach = radius * s.shape.a1 if s.kind == "ellipse" else radius
+    bound = int(math.ceil(reach)) + 1
     axis = np.arange(-bound, bound + 1)
     lx, ly = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([lx.ravel(), ly.ravel()]).astype(float)
@@ -100,7 +101,10 @@ class AutocorrMatrix:
     """Autocorrelation of the field across a lattice point set.
 
     ``entries[i, j] = c(r_i - r_j)``; Hermitian with a unit diagonal and, up
-    to round-off, positive semidefinite.
+    to round-off, positive semidefinite.  ``build_autocorr_matrix`` evaluates
+    the ACF once per +/- pair of index differences and returns a real
+    symmetric ``float64`` matrix when the ACF's values are real, complex
+    otherwise.
     """
 
     entries: np.ndarray
@@ -121,23 +125,38 @@ class AutocorrMatrix:
 def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     """Autocorrelation matrix over all pairs of lattice points.
 
-    The ACF is evaluated once per distinct index difference (a lattice has
-    only O(N) of them) and scattered back to the full N x N matrix, then
-    symmetrized to remove round-off asymmetry.
+    Index differences of the point set lie in the box ``|d| <= span`` of its
+    index extent, so each pair gets an integer key into that box.  The ACF is
+    evaluated once, on the present differences in the upper half of the box
+    (``d`` lexicographically at least 0), so each +/- pair costs one
+    evaluation; the mirrored half follows from ``c(-r) = conj c(r)``.  One
+    gather of the key table builds the matrix, Hermitian by construction.
+    When every evaluated value is real (as for the isotropic sinc ACF) the
+    matrix is real symmetric ``float64``.
     """
-    n = len(points)
-    idx = points.indices
-    diffs = (idx[:, None, :] - idx[None, :, :]).reshape(-1, 2)
-    uniq, inverse = np.unique(diffs, axis=0, return_inverse=True)
-    disp = uniq.astype(float) @ points.q.q.T
+    idx = points.indices.astype(np.int64)
+    span = np.ptp(idx, axis=0)
+    width = 2 * span[1] + 1
+    size = (2 * span[0] + 1) * width
+    centre = (size - 1) // 2
+    code = idx[:, 0] * width + idx[:, 1]
+    key = code[:, None] - code[None, :] + centre
+    present = np.zeros(size, dtype=bool)
+    present[key] = True
+    half = np.flatnonzero(present[centre:]) + centre
+    diffs = np.column_stack([half // width - span[0], half % width - span[1]])
+    disp = diffs.astype(float) @ points.q.q.T
     vals = np.asarray(acf.eval_many(disp))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         where = disp[np.argmax(bad)]
         raise ValueError(f"ACF returned a non-finite value at displacement {tuple(where)}")
-    entries = vals[inverse].reshape(n, n)
-    entries = 0.5 * (entries + entries.conj().T)
-    return AutocorrMatrix(entries=entries, points=points, acf=acf)
+    if not np.any(vals.imag):
+        vals = vals.real
+    table = np.zeros(size, dtype=vals.dtype)
+    table[size - 1 - half] = vals.conj()
+    table[half] = vals
+    return AutocorrMatrix(entries=table[key], points=points, acf=acf)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Every command writes CSV/JSON outputs plus a ``<command>_config.json``
 sidecar holding the fully resolved configuration.  Files are written
 atomically after the computation succeeds.  Exit codes: 0 success, 1
-numerical failure, 2 configuration error.
+numerical failure or exhausted memory, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -492,6 +492,9 @@ def main(argv=None) -> int:
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError,
             RuntimeError, ValueError) as exc:
         _fail("numeric", exc)
+        return 1
+    except MemoryError as exc:
+        _fail("resource", exc)
         return 1
     _write_outputs(args.out, outputs)
     return 0

@@ -99,8 +99,79 @@ class TestModeCounting:
                     count += 1
         assert n == count
 
+    @pytest.mark.parametrize("a1, a2, phi, side", [
+        (1.0, 0.05, 0.7, 60.0),
+        (0.6, 0.1, 2.5, 25.0),
+    ])
+    def test_thin_rotated_ellipse_matches_generous_box(self, a1, a2, phi, side):
+        shape = EllipseShape(a1=a1, a2=a2, phi=phi)
+        n = count_wavenumber_modes(SpectralSupport.ellipse(KN, shape),
+                                   Region(side=side))
+        rho = side  # kappa * side / (2*pi) at unit wavelength
+        # every ellipse with a1 <= 1 lies inside the disk of radius rho
+        bound = int(math.ceil(rho)) + 2
+        axis = np.arange(-bound, bound + 1)
+        lx, ly = np.meshgrid(axis, axis, indexing="ij")
+        u = np.column_stack([lx.ravel(), ly.ravel()]) @ shape.inverse_shape_matrix.T
+        limit = rho * (1.0 + 1e-12)
+        assert n == int(np.count_nonzero(u[:, 0] ** 2 + u[:, 1] ** 2 <= limit * limit))
+
+
+def _reference_autocorr(points, acf):
+    """Distinct differences by np.unique, scattered back, then symmetrized."""
+    n = len(points)
+    idx = points.indices
+    diffs = (idx[:, None, :] - idx[None, :, :]).reshape(-1, 2)
+    uniq, inverse = np.unique(diffs, axis=0, return_inverse=True)
+    vals = np.asarray(acf.eval_many(uniq.astype(float) @ points.q.q.T))
+    entries = vals[inverse].reshape(n, n)
+    return 0.5 * (entries + entries.conj().T), len(uniq)
+
+
+class _CountingAcf(Acf):
+    def __init__(self, inner):
+        self.inner = inner
+        self.kn = inner.kn
+        self.calls = []
+
+    def eval_many(self, disp):
+        self.calls.append(len(disp))
+        return self.inner.eval_many(disp)
+
+
+def _oracle_point_sets():
+    side = Region(side=6.0 * LAM)
+    shape = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
+    return {
+        "rect": enumerate_lattice(nyquist_rect(KN), side),
+        "hex": enumerate_lattice(nyquist_hex(KN), side),
+        "ellipse": enumerate_lattice(nyquist_ellipse(KN, shape), side),
+        "two-point": _two_point_set(),
+    }
+
 
 class TestAutocorrMatrix:
+    @pytest.mark.parametrize("name", ["rect", "hex", "ellipse", "two-point"])
+    def test_clarke_equals_unique_reference(self, name):
+        pts = _oracle_point_sets()[name]
+        acf = _CountingAcf(ClarkeAcf(KN))
+        mat = build_autocorr_matrix(pts, acf)
+        ref, n_unique = _reference_autocorr(pts, ClarkeAcf(KN))
+        assert mat.entries.dtype == np.float64
+        assert not ref.imag.any()
+        assert np.array_equal(mat.entries, ref.real)
+        # one call covering each +/- pair once, plus the zero difference
+        assert acf.calls == [(n_unique + 1) // 2]
+
+    def test_numeric_equals_unique_reference(self):
+        from helpers import two_cluster_scenario
+        acf = NumericAcf(two_cluster_scenario())
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=2.0 * LAM))
+        mat = build_autocorr_matrix(pts, acf)
+        ref, _ = _reference_autocorr(pts, acf)
+        assert mat.entries.dtype == np.complex128
+        assert np.abs(mat.entries - ref).max() <= 1e-14
+
     def test_entries_match_pairwise_acf(self):
         pts = enumerate_lattice(nyquist_hex(KN), Region(side=2.0 * LAM))
         mat = build_autocorr_matrix(pts, ClarkeAcf(KN))

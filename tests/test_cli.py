@@ -1,4 +1,5 @@
-"""End-to-end command-line checks through subprocess invocations."""
+"""End-to-end command-line checks, through subprocess invocations except
+where a failure has to be injected into the running process."""
 
 import json
 import math
@@ -14,6 +15,7 @@ from fieldsamp import (
     enumerate_lattice,
     nyquist_hex,
 )
+from fieldsamp import cli
 from helpers import broadside_json, run_cli, two_cluster_json, write_scenario
 
 KN = Wavenumber.from_wavelength(1.0)
@@ -164,6 +166,18 @@ class TestEigs:
                        "--scenario", scen40, "--out", "out"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert read_json(tmp_path / "out" / "eigs_summary.json")["acf"] == "numeric"
+
+    def test_memory_error_reports_resource_json(self, tmp_path, monkeypatch, capsys):
+        def exhausted(points, acf):
+            raise MemoryError("Unable to allocate 1.1 GiB")
+
+        monkeypatch.setattr(cli, "build_autocorr_matrix", exhausted)
+        out = tmp_path / "out"
+        rc = cli.main(["eigs", "--scheme", "hex", "--L", "2", "--out", str(out)])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"kind": "resource", "error": "Unable to allocate 1.1 GiB"}
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestReconstruct:
