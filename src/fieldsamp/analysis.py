@@ -131,6 +131,9 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     (``d`` lexicographically at least 0), so each +/- pair costs one
     evaluation; the mirrored half follows from ``c(-r) = conj c(r)``.  One
     gather of the key table builds the matrix, Hermitian by construction.
+    The differences reach the ACF as integer indices through
+    ``acf.eval_lattice(Q, d)``, so a quadrature ACF can factor its phases
+    over the box (``NumericAcf``); other ACFs see the displacements ``Q d``.
     When every evaluated value is real (as for the isotropic sinc ACF) the
     matrix is real symmetric ``float64``.
     """
@@ -145,11 +148,10 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     present[key] = True
     half = np.flatnonzero(present[centre:]) + centre
     diffs = np.column_stack([half // width - span[0], half % width - span[1]])
-    disp = diffs.astype(float) @ points.q.q.T
-    vals = np.asarray(acf.eval_many(disp))
+    vals = np.asarray(acf.eval_lattice(points.q.q, diffs))
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        where = disp[np.argmax(bad)]
+        where = points.q.q @ diffs[np.argmax(bad)]
         raise ValueError(f"ACF returned a non-finite value at displacement {tuple(where)}")
     if not np.any(vals.imag):
         vals = vals.real

@@ -221,7 +221,9 @@ def cmd_acf(args) -> dict:
     n = int(round(args.rmax / args.step))
     rs = np.arange(n + 1) * args.step * lam
     disp = np.column_stack([rs, np.zeros_like(rs)])
-    vals = NumericAcf(scenario).eval_many(disp)
+    # the displacements are the 1-D lattice step*lambda*I at indices (m, 0)
+    index = np.column_stack([np.arange(n + 1), np.zeros(n + 1, dtype=int)])
+    vals = NumericAcf(scenario).eval_lattice(args.step * lam * np.eye(2), index)
     clarke = ClarkeAcf(scenario.kn).eval_many(disp).real
     rows = ((r / lam, v.real, v.imag, abs(v), c)
             for r, v, c in zip(rs, vals, clarke))

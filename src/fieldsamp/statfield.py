@@ -43,6 +43,9 @@ class Acf:
 
     Subclasses provide ``eval_many`` on an (N, 2) displacement array;
     calling with a single displacement returns a complex scalar.
+    ``eval_lattice(q, indices)`` evaluates at the lattice displacements
+    ``Q n`` for integer index rows ``n``; by default it forms them and calls
+    ``eval_many``, and a subclass may override it to exploit the lattice.
     ``c(0) = 1`` by the unit-power convention.
     """
 
@@ -51,6 +54,9 @@ class Acf:
 
     def eval_many(self, disp: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def eval_lattice(self, q: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        return self.eval_many(np.asarray(indices, dtype=float) @ q.T)
 
     def __call__(self, r) -> complex:
         disp = np.asarray(r, dtype=float).reshape(1, 2)
@@ -94,7 +100,12 @@ class NumericAcf(Acf):
     Gauss-Legendre nodes over (theta, phi) are refined by doubling until two
     successive levels agree within ``tol`` on the requested displacements;
     values are normalized by the same-level value at zero displacement so
-    that ``c(0) = 1`` exactly.
+    that ``c(0) = 1`` exactly.  ``eval_many`` forms one complex exponential
+    per (displacement, node) pair; ``eval_lattice`` factors each node's
+    phase at ``Q n`` as ``exp(i n1 b1) exp(i n2 b2)`` with ``b = Q.T k`` and
+    sums over the integer index box (``_lattice_wave_sum``), so it needs
+    exponentials only along the two axes of the box.  Both run the same
+    level sequence and convergence test.
     """
 
     def __init__(self, scenario: ScatteringScenario, tol: float = 1e-6):
@@ -114,16 +125,12 @@ class NumericAcf(Acf):
         )
         return k, w
 
-    def eval_many(self, disp: np.ndarray) -> np.ndarray:
-        disp = np.atleast_2d(np.asarray(disp, dtype=float))
-        if disp.shape[-1] != 2:
-            raise ValueError("displacements must have two components")
-        ext = np.vstack([disp, [[0.0, 0.0]]])
+    def _refine(self, level_sum) -> np.ndarray:
+        """Refine ``level_sum(k, w)``, whose last entry is the origin's sum."""
         prev = None
         achieved = math.inf
         for nt, nf in _ACF_LEVELS:
-            k, w = self._level_nodes(nt, nf)
-            cur = _phase_sum(ext, k, w)
+            cur = level_sum(*self._level_nodes(nt, nf))
             cur = cur / cur[-1].real
             if prev is not None:
                 achieved = float(np.abs(cur - prev).max())
@@ -135,6 +142,21 @@ class NumericAcf(Acf):
             f"achieved {achieved:.3e} at {_ACF_LEVELS[-1]} (theta, phi) nodes",
             achieved=achieved,
         )
+
+    def eval_many(self, disp: np.ndarray) -> np.ndarray:
+        disp = np.atleast_2d(np.asarray(disp, dtype=float))
+        if disp.shape[-1] != 2:
+            raise ValueError("displacements must have two components")
+        ext = np.vstack([disp, [[0.0, 0.0]]])
+        return self._refine(lambda k, w: _phase_sum(ext, k, w))
+
+    def eval_lattice(self, q: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+        ext = np.vstack([indices, [[0, 0]]])
+        return self._refine(lambda k, w: sum(
+            _lattice_wave_sum(q, ext, k[c0:c0 + _NODE_CHUNK], w[c0:c0 + _NODE_CHUNK])
+            for c0 in range(0, len(k), _NODE_CHUNK)
+        ))
 
 
 def acf_numeric(s: ScatteringScenario, r, tol: float = 1e-6) -> complex:
@@ -262,16 +284,18 @@ def _plane_wave_sum(positions: np.ndarray, k: np.ndarray, gains: np.ndarray) -> 
 def _exp_table(lo: int, hi: int, b: np.ndarray) -> np.ndarray:
     """exp(i n b_m) for n = lo..hi, as a (hi - lo + 1, len(b)) table.
 
-    Each row is the product of a row of a coarse table (stride c) and a row
-    of a fine one (offsets 0..c-1), so only about 2*sqrt(hi - lo + 1) rows
-    need the costly complex exponential and every entry carries a single
-    extra rounding.
+    Each row is the product of a row of a coarse table (the multiples of a
+    stride c) and a row of a fine one (offsets 0..c-1), so only about
+    2*sqrt(hi - lo + 1) rows need the costly complex exponential and every
+    entry carries a single extra rounding.  Row n = 0 is exactly 1.
     """
     count = hi - lo + 1
     c = math.isqrt(count - 1) + 1
-    coarse = np.exp(1j * np.outer(lo + c * np.arange(-(-count // c)), b))
+    first = lo // c
+    coarse = np.exp(1j * np.outer(c * np.arange(first, hi // c + 1), b))
     fine = np.exp(1j * np.outer(np.arange(c), b))
-    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(b))[:count]
+    table = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(b))
+    return table[lo - c * first:][:count]
 
 
 def _lattice_wave_sum(q: np.ndarray, indices: np.ndarray, k: np.ndarray,

@@ -167,6 +167,16 @@ class TestEigs:
         assert res.returncode == 0, res.stderr
         assert read_json(tmp_path / "out" / "eigs_summary.json")["acf"] == "numeric"
 
+    def test_numeric_acf_byte_identical_across_runs(self, tmp_path, scen2):
+        args = ["eigs", "--scheme", "hex", "--L", "4", "--scenario", scen2,
+                "--out", "out"]
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert read_json(tmp_path / "out" / "eigs_summary.json")["acf"] == "numeric"
+        first = (tmp_path / "out" / "eigs.csv").read_bytes()
+        assert run_cli(args, tmp_path).returncode == 0
+        assert (tmp_path / "out" / "eigs.csv").read_bytes() == first
+
     def test_memory_error_reports_resource_json(self, tmp_path, monkeypatch, capsys):
         def exhausted(points, acf):
             raise MemoryError("Unable to allocate 1.1 GiB")

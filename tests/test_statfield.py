@@ -7,6 +7,7 @@ import pytest
 
 from fieldsamp import (
     ClarkeAcf,
+    ConvergenceError,
     EllipseShape,
     FieldRealization,
     NumericAcf,
@@ -23,6 +24,7 @@ from fieldsamp import (
     nyquist_rect,
     synthesize,
 )
+from fieldsamp import statfield
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import broadside_cluster, two_cluster_scenario
 
@@ -90,6 +92,39 @@ class TestNumericAcf:
         rng = np.random.default_rng(3)
         disp = rng.uniform(-2.0, 2.0, size=(20, 2))
         assert np.abs(NumericAcf(s).eval_many(disp)).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("q", [
+        nyquist_rect(KN),
+        nyquist_hex(KN),
+        nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)),
+    ], ids=["rect", "hex", "ellipse"])
+    def test_eval_lattice_matches_eval_many(self, q):
+        # the whole box of index differences of a 6-wavelength window
+        span = np.ptp(enumerate_lattice(q, Region(side=6.0 * LAM)).indices, axis=0)
+        d1, d2 = np.meshgrid(np.arange(-span[0], span[0] + 1),
+                             np.arange(-span[1], span[1] + 1), indexing="ij")
+        diffs = np.column_stack([d1.ravel(), d2.ravel()])
+        acf = NumericAcf(two_cluster_scenario())
+        lattice = acf.eval_lattice(q.q, diffs)
+        direct = acf.eval_many(diffs.astype(float) @ q.q.T)
+        assert np.abs(lattice - direct).max() <= 1e-13
+
+    def test_eval_lattice_exactly_unit_at_origin(self):
+        acf = NumericAcf(two_cluster_scenario())
+        vals = acf.eval_lattice(nyquist_hex(KN).q, np.array([[3, -2], [0, 0], [1, 4]]))
+        assert vals[1].real == 1.0 and vals[1].imag == 0.0
+
+    def test_coarse_levels_raise_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(statfield, "_ACF_LEVELS", ((4, 8), (8, 16)))
+        acf = NumericAcf(two_cluster_scenario())
+        q = nyquist_hex(KN).q
+        diffs = np.array([[0, 0], [2, 1], [5, -3]])
+        for call in (lambda: acf.eval_many(diffs.astype(float) @ q.T),
+                     lambda: acf.eval_lattice(q, diffs)):
+            with pytest.raises(ConvergenceError) as err:
+                call()
+            assert math.isfinite(err.value.achieved)
+            assert err.value.achieved >= acf.tol
 
 
 class TestAverageEnergy:
