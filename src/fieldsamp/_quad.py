@@ -1,8 +1,10 @@
-"""Shared Gauss-Legendre quadrature helpers."""
+"""Shared Gauss-Legendre quadrature helpers and the refinement loop."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,3 +33,32 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def refine(levels: Sequence, evaluate: Callable, tol: float, what: str):
+    """Evaluate at successive quadrature levels until two of them agree.
+
+    Returns ``evaluate(level)`` at the first level whose result differs from
+    the previous level's by less than ``tol`` (largest absolute difference
+    over an array result).
+
+    Raises
+    ------
+    ConvergenceError
+        If the levels run out first; carries the last level's value as the
+        estimate and the last difference as the achieved error.
+    """
+    prev = None
+    achieved = math.inf
+    for level in levels:
+        cur = evaluate(level)
+        if prev is not None:
+            achieved = float(np.max(np.abs(cur - prev)))
+            if achieved < tol:
+                return cur
+        prev = cur
+    raise ConvergenceError(
+        f"{what} did not reach tol={tol:g}; achieved {achieved:.3e} at level {levels[-1]}",
+        estimate=prev,
+        achieved=achieved,
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Region, SpectralSupport, TWO_PI, rotation_matrix, support_measure
+from .geometry import Region, SpectralSupport, TWO_PI, support_measure
 from .kernels import Kernel
 from .lattice import LatticePointSet, SamplingMatrix, alias_free, enumerate_lattice
 from .scattering import ScatteringScenario
@@ -80,18 +80,15 @@ def count_wavenumber_modes(s: SpectralSupport, region: Region) -> int:
     decided exactly when the radius ``kappa*L/(2*pi)`` is itself exact.
     """
     radius = s.kn.kappa * region.side / TWO_PI
-    # the ellipse lies inside the disk of radius a1 * radius
-    reach = radius * s.shape.a1 if s.kind == "ellipse" else radius
-    bound = int(math.ceil(reach)) + 1
+    # the support fits in the square of half-side radius * |inv(to_base)|_2
+    bound = int(math.ceil(radius * np.linalg.norm(np.linalg.inv(s.to_base), 2))) + 1
     axis = np.arange(-bound, bound + 1)
     lx, ly = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([lx.ravel(), ly.ravel()]).astype(float)
+    pts = np.column_stack([lx.ravel(), ly.ravel()]) @ s.to_base.T
     limit = radius * (1.0 + 1e-12)
     if s.kind == "rect":
         inside = np.all(np.abs(pts) <= limit, axis=1)
     else:
-        if s.kind == "ellipse":
-            pts = pts @ s.shape.inverse_shape_matrix.T
         inside = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= limit * limit
     return int(np.count_nonzero(inside))
 
@@ -228,21 +225,11 @@ def _check_on_lattice(positions: np.ndarray, q: SamplingMatrix) -> None:
         )
 
 
-def _kernel_frame(kern: Kernel) -> np.ndarray | None:
-    """Rotation mapping displacements into the kernel's principal frame."""
-    if kern.support.kind == "ellipse" and kern.support.shape.phi != 0.0:
-        return rotation_matrix(kern.support.shape.phi)
-    return None
-
-
 def _interp_matrix(kern: Kernel, query: np.ndarray, samples: np.ndarray,
                    row_chunk: int = 256) -> np.ndarray:
-    frame = _kernel_frame(kern)
     out = np.empty((len(query), len(samples)))
     for r0 in range(0, len(query), row_chunk):
         diff = query[r0:r0 + row_chunk, None, :] - samples[None, :, :]
-        if frame is not None:
-            diff = diff @ frame
         out[r0:r0 + row_chunk] = kern(diff)
     return out
 
@@ -251,9 +238,8 @@ def reconstruct(samples: FieldRealization, q: SamplingMatrix, kern: Kernel,
                 query, allow_mismatched: bool = False) -> np.ndarray:
     """Cardinal-series reconstruction of the field at query positions.
 
-    ``e_hat(r) = sum_n e(r_n) f(r - r_n)`` over the available samples, with
-    displacements taken in the kernel support's principal frame.  The sample
-    positions must lie on the lattice of ``q``, and the kernel must be
+    ``e_hat(r) = sum_n e(r_n) f(r - r_n)`` over the available samples.  The
+    sample positions must lie on the lattice of ``q``, and the kernel must be
     alias-free on that lattice unless ``allow_mismatched`` is set.
     """
     query = np.atleast_2d(np.asarray(query, dtype=float))

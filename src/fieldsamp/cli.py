@@ -183,14 +183,8 @@ def cmd_dof(args) -> dict:
     scenario = _load_scenario(args)
     kn = scenario.kn
     region = Region(side=args.L * kn.wavelength)
-    shape = None
-    if args.support == "disk":
-        support = SpectralSupport.disk(kn)
-    elif args.support == "rect":
-        support = SpectralSupport.rect(kn)
-    else:
-        shape = _ellipse_shape(args, scenario)
-        support = SpectralSupport.ellipse(kn, shape)
+    shape = _ellipse_shape(args, scenario) if args.support == "ellipse" else None
+    support = SpectralSupport(args.support, kn, shape)
     report = dof(support, region)
     out = {
         "support": args.support,
@@ -252,12 +246,7 @@ def cmd_eigs(args) -> dict:
         (rank + 1, v, 10.0 * math.log10(v / top) if v > 0.0 else float("-inf"), c)
         for rank, (v, c) in enumerate(zip(spectrum.values, cum))
     )
-    if args.scheme == "ellipse":
-        support = SpectralSupport.ellipse(kn, shape)
-    elif args.scheme == "rect":
-        support = SpectralSupport.rect(kn)
-    else:
-        support = SpectralSupport.disk(kn)
+    support = SpectralSupport("disk" if args.scheme == "hex" else args.scheme, kn, shape)
     summary = {
         "scheme": args.scheme,
         "acf": "clarke" if use_clarke else "numeric",
@@ -339,6 +328,9 @@ def cmd_mse_sweep(args) -> dict:
         raise ConfigError(f"invalid --L-list: {exc}") from exc
     if not sides:
         raise ConfigError("--L-list must contain at least one value")
+    for v in sides:
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"--L-list entries must be finite and positive, got {v!r}")
     shape = _ellipse_shape(args, scenario)
     schemes = [
         ("ellipse_nyquist", nyquist_ellipse(kn, shape), kernel_ellipse(kn, shape)),

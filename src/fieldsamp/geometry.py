@@ -160,6 +160,8 @@ class SpectralSupport:
 
     Construct through the ``disk``, ``rect`` and ``ellipse`` factories.  All
     three regions are closed sets: boundary wavevectors belong to the support.
+    Each is a linear image of a base shape of radius kappa, the square for
+    ``rect`` and the disk otherwise; ``to_base`` maps it back onto that base.
     """
 
     kind: str
@@ -190,6 +192,13 @@ class SpectralSupport:
     def ellipse(cls, kn: Wavenumber, shape: EllipseShape) -> "SpectralSupport":
         """Centered ellipse with semi-axes a1*kappa >= a2*kappa rotated by phi."""
         return cls(kind="ellipse", kn=kn, shape=shape)
+
+    @property
+    def to_base(self) -> np.ndarray:
+        """Matrix mapping the support onto its base square or disk of radius kappa."""
+        if self.shape is None:
+            return np.eye(2)
+        return self.shape.inverse_shape_matrix
 
 
 @dataclass(frozen=True)
@@ -255,13 +264,11 @@ def support_measure(s: SpectralSupport) -> float:
 
 def support_contains(s: SpectralSupport, k) -> bool:
     """Whether wavevector ``k`` lies in the (closed) support region."""
-    kx, ky = _as_xy(k)
+    kx, ky = s.to_base @ _as_xy(k)
     kap = s.kn.kappa
     if s.kind == "rect":
-        return abs(kx) <= kap and abs(ky) <= kap
-    if s.kind == "ellipse":
-        kx, ky = s.shape.inverse_shape_matrix @ (kx, ky)
-    return kx * kx + ky * ky <= kap * kap
+        return bool(abs(kx) <= kap and abs(ky) <= kap)
+    return bool(kx * kx + ky * ky <= kap * kap)
 
 
 def wavevector_from_angles(theta: float, phi: float, kn: Wavenumber) -> tuple[WaveVector, float]:

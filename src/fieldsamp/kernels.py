@@ -3,8 +3,9 @@
 The cardinal-series kernel of a support S sampled with matrix Q is
 ``f(r) = |det Q|/(2*pi)^2 * integral_S exp(i k . r) dk``.  Closed forms are
 provided for the square support (separable sinc), the disk (Bessel ``J1``
-jinc profile) and the centered ellipse (axis-scaled jinc); a numerical
-quadrature oracle evaluates the defining integral directly for any support.
+jinc profile) and the centered ellipse (the disk's jinc through the shape
+matrix); a numerical quadrature oracle evaluates the defining integral
+directly for any support.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import ConvergenceError, gauss_legendre
+from ._quad import gauss_legendre, refine
 from .geometry import EllipseShape, SpectralSupport, Wavenumber
 
 __all__ = [
@@ -217,18 +218,20 @@ def kernel_disk(kn: Wavenumber) -> Kernel:
 
 
 def kernel_ellipse(kn: Wavenumber, shape: EllipseShape) -> Kernel:
-    """Axis-scaled jinc kernel for a centered ellipse support.
+    """Jinc kernel for a centered ellipse support, in the lab frame.
 
-    ``f(r) = (pi/sqrt(3)) * jinc(kappa*|diag(a1, a2) @ r|)``: the disk kernel
-    evaluated at the axis-compressed displacement.  The support orientation
-    does not enter; displacements are understood in the ellipse principal
-    frame, and rotating the support leaves the kernel profile unchanged.
+    ``f(r) = (pi/sqrt(3)) * jinc(kappa*|G^{1/2}.T @ r|)`` with the shape
+    matrix ``G^{1/2} = R(phi) @ diag(a1, a2)``: the disk kernel evaluated at
+    the displacement mapped through the support's shape.  The kernel turns
+    with its support, so rotating the ellipse by ``phi`` rotates the kernel
+    profile by ``phi`` too.
     """
     kap = kn.kappa
-    a1, a2 = shape.a1, shape.a2
+    m = shape.shape_matrix
 
     def fn(r):
-        return _DISK_AMP * jinc(kap * np.hypot(a1 * r[..., 0], a2 * r[..., 1]))
+        mapped = r @ m
+        return _DISK_AMP * jinc(kap * np.hypot(mapped[..., 0], mapped[..., 1]))
 
     return Kernel(support=SpectralSupport.ellipse(kn, shape), peak=0.5 * _DISK_AMP, fn=fn)
 
@@ -247,11 +250,8 @@ def _oracle_integral_radial(s: SpectralSupport, x: float, y: float, n: int) -> c
     psi, wpsi = gauss_legendre(2 * n, 0.0, 2.0 * math.pi)
     tau, wtau = gauss_legendre(n, 0.0, 1.0)
     u = np.column_stack([np.cos(psi), np.sin(psi)])
-    if s.kind == "ellipse":
-        mapped = u @ s.shape.inverse_shape_matrix.T
-        tmax = s.kn.kappa / np.hypot(mapped[:, 0], mapped[:, 1])
-    else:
-        tmax = np.full(len(psi), s.kn.kappa)
+    mapped = u @ s.to_base.T
+    tmax = s.kn.kappa / np.hypot(mapped[:, 0], mapped[:, 1])
     # integral over each ray: int_0^tmax t exp(i t (u.r)) dt with t = tmax*tau
     t = tmax[:, None] * tau[None, :]
     phase = t * (u[:, 0] * x + u[:, 1] * y)[:, None]
@@ -262,38 +262,29 @@ def _oracle_integral_radial(s: SpectralSupport, x: float, y: float, n: int) -> c
 def kernel_oracle(s: SpectralSupport, q, r, tol: float = 1e-8) -> float:
     """Kernel value from direct numerical quadrature of the defining integral.
 
-    Evaluates ``|det Q|/(2*pi)^2 * integral_S exp(i k . r) dk`` with
-    Gauss-Legendre rules refined by doubling until two successive levels
-    agree within ``tol``.  The square support integrates separably in
-    Cartesian coordinates; disk and ellipse supports integrate in polar
-    coordinates with the radial limit resolved per angle from the support's
-    defining inequality, independent of the closed forms being checked.
+    Evaluates ``|det Q|/(2*pi)^2 * integral_S exp(i k . r) dk`` at the
+    lab-frame displacement ``r`` with Gauss-Legendre rules refined by
+    doubling until two successive levels agree within ``tol``, so it equals
+    ``kern(r)`` for the closed-form kernel of any support.  The square
+    support integrates separably in Cartesian coordinates; disk and ellipse
+    supports integrate in polar coordinates with the radial limit resolved
+    per angle by mapping the ray onto the support's base disk
+    (``s.to_base``), independent of the closed forms being checked.
 
     Raises
     ------
     ConvergenceError
-        If the refinement budget is exhausted; carries the best estimate
-        and the achieved level-to-level error.
+        If the refinement budget is exhausted; carries the last level's
+        (complex) integral as the estimate and the achieved level-to-level
+        error.
     """
-    x, y = float(np.asarray(r, dtype=float).reshape(2)[0]), float(np.asarray(r, dtype=float).reshape(2)[1])
+    x, y = np.asarray(r, dtype=float).reshape(2)
     det = abs(q.det if hasattr(q, "det") else float(np.linalg.det(np.asarray(q, dtype=float))))
     norm = det / (2.0 * math.pi) ** 2
 
-    prev = None
-    achieved = math.inf
-    for n in _ORACLE_LEVELS:
+    def level(n):
         if s.kind == "rect":
-            cur = _oracle_integral_rect(s.kn.kappa, x, y, n)
-        else:
-            cur = _oracle_integral_radial(s, x, y, n)
-        if prev is not None:
-            achieved = abs(cur - prev) * norm
-            if achieved < tol:
-                return float(norm * cur.real)
-        prev = cur
-    raise ConvergenceError(
-        f"kernel quadrature did not reach tol={tol:g}; achieved {achieved:.3e} "
-        f"at {_ORACLE_LEVELS[-1]} radial nodes",
-        estimate=float(norm * prev.real),
-        achieved=achieved,
-    )
+            return norm * _oracle_integral_rect(s.kn.kappa, x, y, n)
+        return norm * _oracle_integral_radial(s, x, y, n)
+
+    return float(refine(_ORACLE_LEVELS, level, tol, "kernel quadrature").real)

@@ -21,7 +21,6 @@ from .geometry import (
     Region,
     SpectralSupport,
     Wavenumber,
-    rotation_matrix,
     support_measure,
 )
 
@@ -142,13 +141,12 @@ def nyquist_hex(kn: Wavenumber) -> SamplingMatrix:
 def nyquist_ellipse(kn: Wavenumber, shape: EllipseShape) -> SamplingMatrix:
     """Elongated hexagonal lattice at the Nyquist density of an ellipse support.
 
-    Obtained by mapping the hexagonal construction for the disk through the
-    inverse of the ellipse shape matrix: ``R(phi) @ diag(1/a1, 1/a2) @ Q_hex``.
-    Density ``a1*a2*2*sqrt(3)/wavelength^2``.
+    The hexagonal construction for the disk mapped through the support's
+    shape: ``Q = inverse_shape_matrix.T @ Q_hex = R(phi) @ diag(1/a1, 1/a2)
+    @ Q_hex``, so the spectral replicas are the disk's hexagonal packing
+    mapped by ``G^{1/2}``.  Density ``a1*a2*2*sqrt(3)/wavelength^2``.
     """
-    stretch = np.diag([1.0 / shape.a1, 1.0 / shape.a2])
-    q = rotation_matrix(shape.phi) @ stretch @ nyquist_hex(kn).q
-    return SamplingMatrix(q)
+    return SamplingMatrix(shape.inverse_shape_matrix.T @ nyquist_hex(kn).q)
 
 
 def nyquist_density(s: SpectralSupport) -> float:
@@ -209,27 +207,20 @@ def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
     return LatticePointSet(indices=n[order], positions=pos[order], q=q, region=region)
 
 
-def _mapped_to_disk_frame(s: SpectralSupport, vecs: np.ndarray) -> np.ndarray:
-    if s.kind == "ellipse":
-        return vecs @ s.shape.inverse_shape_matrix.T
-    return vecs
-
-
 def alias_free(s: SpectralSupport, q: SamplingMatrix, lmax: int = 3) -> bool:
     """Whether spectral replicas of the support do not overlap under Q sampling.
 
-    Checks every nonzero replica offset P @ l with ``|l|_inf <= lmax``:
-    disk/ellipse supports require mapped center separation ``>= 2*kappa``,
-    the square support requires separation ``>= 2*kappa`` along an axis.
-    Tangent replicas (zero-measure overlap) count as alias-free.
+    Checks every nonzero replica offset P @ l with ``|l|_inf <= lmax``,
+    mapped onto the support's base shape (``s.to_base``): the disk (and so
+    the ellipse) requires center separation ``>= 2*kappa``, the square
+    requires separation ``>= 2*kappa`` along an axis.  Tangent replicas
+    (zero-measure overlap) count as alias-free.
     """
     p = periodicity_from_sampling(q).p
     ls = np.array([(i, j) for i in range(-lmax, lmax + 1)
                    for j in range(-lmax, lmax + 1) if (i, j) != (0, 0)])
-    offsets = ls @ p.T
-    kap = s.kn.kappa
-    tol = 1.0 - 1e-9
+    offsets = ls @ p.T @ s.to_base.T
+    sep = 2.0 * s.kn.kappa * (1.0 - 1e-9)
     if s.kind == "rect":
-        return bool(np.all(np.abs(offsets).max(axis=1) >= 2.0 * kap * tol))
-    mapped = _mapped_to_disk_frame(s, offsets)
-    return bool(np.all(np.hypot(mapped[:, 0], mapped[:, 1]) >= 2.0 * kap * tol))
+        return bool(np.all(np.abs(offsets).max(axis=1) >= sep))
+    return bool(np.all(np.hypot(offsets[:, 0], offsets[:, 1]) >= sep))

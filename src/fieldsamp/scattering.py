@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import ConvergenceError, gauss_legendre
+from ._quad import gauss_legendre, refine
 from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy
 
 __all__ = [
@@ -164,22 +164,21 @@ def _hemisphere_exp_integral(cluster: VmfCluster) -> float:
     if cluster.theta_r == 0.0:
         return TWO_PI * (1.0 - math.exp(-a)) / a
     xi = cluster.modal_direction
-    prev = None
-    for n in (32, 64, 128, 256, 512, 1024):
+
+    def level(n):
         th, wth = gauss_legendre(n, 0.0, math.pi / 2.0)
         ph, wph = gauss_legendre(2 * n, 0.0, TWO_PI)
         st, ct = np.sin(th), np.cos(th)
         dot = (st[:, None] * np.cos(ph)[None, :] * xi[0]
                + st[:, None] * np.sin(ph)[None, :] * xi[1]
                + ct[:, None] * xi[2])
-        cur = float((wth * st) @ np.exp(a * (dot - 1.0)) @ wph)
-        if prev is not None and abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"cluster normalization integral did not converge (alpha={a!r})",
-        estimate=prev,
-    )
+        return float((wth * st) @ np.exp(a * (dot - 1.0)) @ wph)
+
+    # the hemisphere holds between half and all of the full-sphere integral,
+    # so this absolute tolerance is at most 1e-11 relative to the result
+    full = TWO_PI * (1.0 - math.exp(-2.0 * a)) / a
+    return refine((32, 64, 128, 256, 512, 1024), level, 0.5e-11 * full,
+                  f"cluster normalization integral (alpha={a!r})")
 
 
 @lru_cache(maxsize=128)

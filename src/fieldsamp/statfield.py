@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from ._quad import ConvergenceError, gauss_legendre
+from ._quad import gauss_legendre, refine
 from .geometry import TWO_PI, Wavenumber
 from .scattering import ScatteringScenario, _factor_sq_arrays
 
@@ -127,21 +127,11 @@ class NumericAcf(Acf):
 
     def _refine(self, level_sum) -> np.ndarray:
         """Refine ``level_sum(k, w)``, whose last entry is the origin's sum."""
-        prev = None
-        achieved = math.inf
-        for nt, nf in _ACF_LEVELS:
-            cur = level_sum(*self._level_nodes(nt, nf))
-            cur = cur / cur[-1].real
-            if prev is not None:
-                achieved = float(np.abs(cur - prev).max())
-                if achieved < self.tol:
-                    return cur[:-1]
-            prev = cur
-        raise ConvergenceError(
-            f"autocorrelation quadrature did not reach tol={self.tol:g}; "
-            f"achieved {achieved:.3e} at {_ACF_LEVELS[-1]} (theta, phi) nodes",
-            achieved=achieved,
-        )
+        def level(nodes):
+            cur = level_sum(*self._level_nodes(*nodes))
+            return cur / cur[-1].real
+
+        return refine(_ACF_LEVELS, level, self.tol, "autocorrelation quadrature")[:-1]
 
     def eval_many(self, disp: np.ndarray) -> np.ndarray:
         disp = np.atleast_2d(np.asarray(disp, dtype=float))
@@ -177,17 +167,13 @@ def average_energy(s: ScatteringScenario) -> EnergyReport:
     Equals one under the scenario normalization; computed by quadrature so
     it doubles as a consistency check of the normalization constants.
     """
-    prev = None
-    for nt, nf in _ACF_LEVELS:
-        th, wth = gauss_legendre(nt, 0.0, math.pi / 2.0)
-        ph, wph = gauss_legendre(nf, 0.0, TWO_PI)
+    def level(nodes):
+        th, wth = gauss_legendre(nodes[0], 0.0, math.pi / 2.0)
+        ph, wph = gauss_legendre(nodes[1], 0.0, TWO_PI)
         tg, pg = np.meshgrid(th, ph, indexing="ij")
-        vals = _factor_sq_arrays(s, tg, pg) * np.sin(tg)
-        cur = float(wth @ vals @ wph)
-        if prev is not None and abs(cur - prev) < 1e-10:
-            return EnergyReport(sigma_sq=cur)
-        prev = cur
-    raise ConvergenceError("energy quadrature did not converge", estimate=prev)
+        return float(wth @ (_factor_sq_arrays(s, tg, pg) * np.sin(tg)) @ wph)
+
+    return EnergyReport(sigma_sq=refine(_ACF_LEVELS, level, 1e-10, "energy quadrature"))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ class TestUsage:
         ["support-fit", "--threshold-db", "5"],
         ["mse-sweep", "--realizations", "0"],
         ["reconstruct", "--seed", "-1"],
+        ["mse-sweep", "--a1", "0.5", "--a2", "0.4", "--L-list", "2,-4"],
+        ["mse-sweep", "--a1", "0.5", "--a2", "0.4", "--L-list", "2,nan"],
     ])
     def test_bad_flag_values_exit_two(self, args, tmp_path):
         res = run_cli(args, tmp_path)

@@ -96,6 +96,17 @@ class TestSupports:
         assert support_contains(s, (0.5 * kap, 0.0))
         assert not support_contains(s, (0.51 * kap, 0.0))
 
+    def test_to_base_maps_support_onto_base_shape(self):
+        kap = KN.kappa
+        shape = EllipseShape(a1=0.8, a2=0.3, phi=1.2)
+        s = SpectralSupport.ellipse(KN, shape)
+        psi = np.linspace(0.0, 2.0 * math.pi, 17)
+        rim = kap * np.column_stack([np.cos(psi), np.sin(psi)]) @ shape.shape_matrix.T
+        mapped = rim @ s.to_base.T
+        assert np.allclose(np.hypot(mapped[:, 0], mapped[:, 1]), kap, rtol=1e-14, atol=0.0)
+        assert np.array_equal(SpectralSupport.disk(KN).to_base, np.eye(2))
+        assert np.array_equal(SpectralSupport.rect(KN).to_base, np.eye(2))
+
     def test_region_area_and_validation(self):
         assert Region(side=3.0).area == pytest.approx(9.0, rel=1e-15)
         with pytest.raises(ValueError):

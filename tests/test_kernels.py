@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fieldsamp import (
+    ConvergenceError,
     EllipseShape,
     SpectralSupport,
     Wavenumber,
@@ -153,13 +154,13 @@ class TestEllipseKernel:
             assert kern((x, y)) == pytest.approx(dk((0.8 * x, 0.5 * y)),
                                                  rel=1e-12, abs=1e-15)
 
-    def test_rotation_left_to_caller(self):
-        # the kernel is expressed in the ellipse's principal frame; the shape
-        # angle changes the attached support but not the kernel profile
+    def test_kernel_turns_with_its_support(self):
+        # the kernel is expressed in the lab frame; rotating the shape by phi
+        # rotates the kernel profile by phi
         base = kernel_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.0))
         rot = kernel_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=1.1))
         for r in [(0.4, 0.3), (-1.0, 0.8)]:
-            assert rot(r) == pytest.approx(base(r), rel=1e-14)
+            assert rot(rotation_matrix(1.1) @ r) == pytest.approx(base(r), rel=1e-14)
         assert rot.support.shape.phi == pytest.approx(1.1, rel=1e-15)
 
 
@@ -202,7 +203,14 @@ class TestKernelOracle:
         s = SpectralSupport.ellipse(KN, shape)
         kern = kernel_ellipse(KN, shape)
         q = nyquist_ellipse(KN, shape).q
-        rot = rotation_matrix(shape.phi)
         for r in [(0.4, 0.2), (-1.1, 0.7)]:
-            mapped = rot.T @ np.asarray(r)
-            assert kernel_oracle(s, q, r) == pytest.approx(kern(mapped), abs=1e-8)
+            assert kernel_oracle(s, q, r) == pytest.approx(kern(r), abs=1e-8)
+
+    def test_exhausted_levels_raise_with_estimate(self):
+        from fieldsamp import nyquist_hex
+        s = SpectralSupport.disk(KN)
+        r = (0.6, -0.3)
+        with pytest.raises(ConvergenceError) as err:
+            kernel_oracle(s, nyquist_hex(KN).q, r, tol=1e-300)
+        assert abs(err.value.estimate - kernel_disk(KN)(r)) < 1e-8
+        assert math.isfinite(err.value.achieved)

@@ -16,6 +16,7 @@ from fieldsamp import (
     support_area_at_threshold,
     support_at_threshold,
 )
+from fieldsamp.scattering import _hemisphere_exp_integral
 from helpers import broadside_cluster, two_cluster_scenario
 
 LAM = 1.0
@@ -111,6 +112,14 @@ class TestSpectralFactor:
         flat = broadside_cluster(7.0)
         assert spectral_factor_sq(tilted, 0.3, 0.1) == pytest.approx(
             spectral_factor_sq(flat, 0.3, 0.1), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1.0, 40.0, 200.0])
+    def test_horizon_cluster_is_half_the_sphere(self, alpha):
+        # a mode on the horizon makes the density mirror-symmetric in z, so
+        # the hemisphere holds exactly half the full-sphere integral
+        cluster = VmfCluster(1.0, math.pi / 2.0, 0.7, alpha)
+        half = math.pi * (1.0 - math.exp(-2.0 * alpha)) / alpha
+        assert _hemisphere_exp_integral(cluster) == pytest.approx(half, rel=1e-11)
 
     def test_mixture_is_weighted_sum(self):
         a = VmfCluster(0.3, 0.2, 1.0, 15.0)

@@ -125,6 +125,9 @@ class TestNumericAcf:
                 call()
             assert math.isfinite(err.value.achieved)
             assert err.value.achieved >= acf.tol
+        with pytest.raises(ConvergenceError) as err:
+            average_energy(two_cluster_scenario())
+        assert math.isfinite(err.value.achieved)
 
 
 class TestAverageEnergy:
