@@ -35,6 +35,18 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def hemisphere_rule(nt: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (nt*nf, 3) and solid-angle weights of a hemisphere product rule."""
+    th, wth = gauss_legendre(nt, 0.0, math.pi / 2.0)
+    ph, wph = gauss_legendre(nf, 0.0, 2.0 * math.pi)
+    st = np.sin(th)[:, None]
+    u = np.empty((nt, nf, 3))
+    u[..., 0] = st * np.cos(ph)
+    u[..., 1] = st * np.sin(ph)
+    u[..., 2] = np.cos(th)[:, None]
+    return u.reshape(-1, 3), (st * wth[:, None] * wph).ravel()
+
+
 def refine(levels: Sequence, evaluate: Callable, tol: float, what: str):
     """Evaluate at successive quadrature levels until two of them agree.
 

@@ -211,26 +211,29 @@ def power_capture_count(e: EigenSpectrum, fraction: float) -> int:
     return min(idx, len(cum) - 1) + 1
 
 
-def _lattice_tol(q: SamplingMatrix) -> float:
-    return 1e-9 * math.sqrt(abs(q.det))
-
-
 def _check_on_lattice(positions: np.ndarray, q: SamplingMatrix) -> None:
     n = positions @ np.linalg.inv(q.q).T
     err = np.abs(n - np.round(n)).max() if len(n) else 0.0
-    if err * math.sqrt(abs(q.det)) > _lattice_tol(q):
+    if err > 1e-9:
         raise ValueError(
             f"sample positions do not lie on the lattice of the sampling matrix "
             f"(max index residual {err:.3e})"
         )
 
 
-def _interp_matrix(kern: Kernel, query: np.ndarray, samples: np.ndarray,
-                   row_chunk: int = 256) -> np.ndarray:
+def _check_pairing(kern: Kernel, q: SamplingMatrix, allow_mismatched: bool) -> None:
+    if not allow_mismatched and not alias_free(kern.support, q):
+        raise ValueError(
+            "kernel support replicas overlap on this lattice; pass "
+            "allow_mismatched=True to force the mismatched pairing"
+        )
+
+
+def _interp_matrix(kern: Kernel, query: np.ndarray, samples: np.ndarray) -> np.ndarray:
     out = np.empty((len(query), len(samples)))
-    for r0 in range(0, len(query), row_chunk):
-        diff = query[r0:r0 + row_chunk, None, :] - samples[None, :, :]
-        out[r0:r0 + row_chunk] = kern(diff)
+    for r0 in range(0, len(query), _INTERP_ROWS):
+        diff = query[r0:r0 + _INTERP_ROWS, None, :] - samples[None, :, :]
+        out[r0:r0 + _INTERP_ROWS] = kern(diff)
     return out
 
 
@@ -247,11 +250,7 @@ def reconstruct(samples: FieldRealization, q: SamplingMatrix, kern: Kernel,
         raise ValueError("query positions must have two columns")
     positions = np.asarray(samples.positions, dtype=float)
     _check_on_lattice(positions, q)
-    if not allow_mismatched and not alias_free(kern.support, q):
-        raise ValueError(
-            "kernel support replicas overlap on this lattice; pass "
-            "allow_mismatched=True to force the mismatched pairing"
-        )
+    _check_pairing(kern, q, allow_mismatched)
     f = _interp_matrix(kern, query, positions)
     return f @ samples.values
 
@@ -273,6 +272,7 @@ class MseReport:
     n_samples: int
 
 
+_INTERP_ROWS = 256
 _MSE_BLOCK = 16
 
 
@@ -315,11 +315,7 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
         raise ValueError("evaluation region must lie inside the observation region")
 
     pts = enumerate_lattice(q, region)
-    if not allow_mismatched and not alias_free(kern.support, q):
-        raise ValueError(
-            "kernel support replicas overlap on this lattice; pass "
-            "allow_mismatched=True to force the mismatched pairing"
-        )
+    _check_pairing(kern, q, allow_mismatched)
 
     # the evaluation grid is the lattice step*I over a square index box
     step = s.kn.wavelength / points_per_lambda

@@ -42,6 +42,7 @@ from .lattice import (
 )
 from .scattering import (
     ScatteringScenario,
+    _threshold_mask,
     support_area_at_threshold,
     support_at_threshold,
 )
@@ -107,6 +108,19 @@ def _ellipse_shape(args, scenario: ScatteringScenario) -> EllipseShape:
     if not getattr(args, "scenario", None):
         raise ConfigError("an ellipse support needs --a1/--a2 or --scenario to fit from")
     return support_at_threshold(scenario, args.threshold_db)
+
+
+def _covering_shape(args, scenario: ScatteringScenario) -> EllipseShape:
+    """``_ellipse_shape``; explicit axes must cover the set the fit covers, or it aliases."""
+    shape = _ellipse_shape(args, scenario)
+    if args.a1 is not None:
+        pts, _ = _threshold_mask(scenario, args.threshold_db, on_psd=False)
+        base = pts @ shape.inverse_shape_matrix.T
+        # the boundary tolerance of lattice.alias_free
+        if np.hypot(base[:, 0], base[:, 1]).max() > scenario.kn.kappa * (1.0 + 1e-9):
+            raise ConfigError(f"the --a1/--a2 ellipse misses wavevectors within "
+                              f"{args.threshold_db:g} dB of the spectrum's peak")
+    return shape
 
 
 def _scheme_matrix(scheme: str, scenario: ScatteringScenario, args):
@@ -275,7 +289,7 @@ def cmd_reconstruct(args) -> dict:
     kn = scenario.kn
     lam = kn.wavelength
     region = Region(side=args.L * lam)
-    shape = _ellipse_shape(args, scenario)
+    shape = _covering_shape(args, scenario)
     q_ny, kern_ny = nyquist_ellipse(kn, shape), kernel_ellipse(kn, shape)
     q_half, kern_half = nyquist_rect(kn), kernel_rect(kn)
     pts_ny = enumerate_lattice(q_ny, region)
@@ -331,7 +345,7 @@ def cmd_mse_sweep(args) -> dict:
     for v in sides:
         if not (math.isfinite(v) and v > 0.0):
             raise ConfigError(f"--L-list entries must be finite and positive, got {v!r}")
-    shape = _ellipse_shape(args, scenario)
+    shape = _covering_shape(args, scenario)
     schemes = [
         ("ellipse_nyquist", nyquist_ellipse(kn, shape), kernel_ellipse(kn, shape)),
         ("rect_matched", nyquist_rect(Wavenumber.from_wavelength(lam / shape.a1)),

@@ -6,7 +6,7 @@ angular spectral factor integrates to one against the hemisphere measure
 ``sin(theta) dtheta dphi``, which fixes the field power to one per point.
 The power spectral density over the wavevector disk follows by the change of
 variables from arrival angles to in-plane wavevectors, which contributes the
-``1/kz`` Jacobian.
+``1/kz`` Jacobian; ``k`` arrives from the unit direction ``(kx, ky, kz)/kappa``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gauss_legendre, refine
+from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy
 
 __all__ = [
@@ -166,13 +166,8 @@ def _hemisphere_exp_integral(cluster: VmfCluster) -> float:
     xi = cluster.modal_direction
 
     def level(n):
-        th, wth = gauss_legendre(n, 0.0, math.pi / 2.0)
-        ph, wph = gauss_legendre(2 * n, 0.0, TWO_PI)
-        st, ct = np.sin(th), np.cos(th)
-        dot = (st[:, None] * np.cos(ph)[None, :] * xi[0]
-               + st[:, None] * np.sin(ph)[None, :] * xi[1]
-               + ct[:, None] * xi[2])
-        return float((wth * st) @ np.exp(a * (dot - 1.0)) @ wph)
+        u, w = hemisphere_rule(n, 2 * n)
+        return float(w @ np.exp(a * (u @ xi - 1.0)))
 
     # the hemisphere holds between half and all of the full-sphere integral,
     # so this absolute tolerance is at most 1e-11 relative to the result
@@ -187,13 +182,11 @@ def _cluster_norms(s: ScatteringScenario) -> tuple[float, ...]:
     return tuple(1.0 / _hemisphere_exp_integral(c) for c in s.clusters)
 
 
-def _factor_sq_arrays(s: ScatteringScenario, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    st, ct = np.sin(theta), np.cos(theta)
-    ux, uy = st * np.cos(phi), st * np.sin(phi)
-    out = np.zeros_like(st)
+def _factor_sq(s: ScatteringScenario, u: np.ndarray) -> np.ndarray:
+    """Squared spectral factor at unit arrival directions ``u`` (..., 3)."""
+    out = np.zeros(u.shape[:-1])
     for cluster, norm in zip(s.clusters, _cluster_norms(s)):
-        xi = cluster.modal_direction
-        dot = ux * xi[0] + uy * xi[1] + ct * xi[2]
+        dot = u @ cluster.modal_direction
         out += cluster.weight * norm * np.exp(cluster.alpha * (dot - 1.0))
     return out
 
@@ -211,15 +204,9 @@ def spectral_factor_sq(s: ScatteringScenario, theta: float, phi: float) -> float
         raise ValueError("theta must lie in [0, pi/2]")
     if np.any(phi < 0.0) or np.any(phi >= TWO_PI):
         raise ValueError("phi must lie in [0, 2*pi)")
-    out = _factor_sq_arrays(s, theta, phi)
+    st = np.sin(theta)
+    out = _factor_sq(s, np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1))
     return float(out) if out.ndim == 0 else out
-
-
-def _angles_of_wavevectors(kxy: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    rad = np.hypot(kxy[..., 0], kxy[..., 1])
-    theta = np.arcsin(np.clip(rad / kappa, 0.0, 1.0))
-    phi = np.mod(np.arctan2(kxy[..., 1], kxy[..., 0]), TWO_PI)
-    return theta, phi
 
 
 def psd(s: ScatteringScenario, k) -> float:
@@ -234,8 +221,8 @@ def psd(s: ScatteringScenario, k) -> float:
     rad2 = kx * kx + ky * ky
     if rad2 >= kap * kap:
         return 0.0
-    theta, phi = _angles_of_wavevectors(np.array([kx, ky]), kap)
-    return float(_factor_sq_arrays(s, theta, phi) / math.sqrt(kap * kap - rad2))
+    kz = math.sqrt(kap * kap - rad2)
+    return float(_factor_sq(s, np.array([kx, ky, kz]) / kap) / kz)
 
 
 _FIT_GRID_N = 200
@@ -252,10 +239,10 @@ def _threshold_mask(s: ScatteringScenario, threshold_db: float, on_psd: bool):
     rad2 = kx * kx + ky * ky
     inside = rad2 < kap * kap if on_psd else rad2 <= kap * kap
     pts = np.column_stack([kx[inside], ky[inside]])
-    theta, phi = _angles_of_wavevectors(pts, kap)
-    vals = _factor_sq_arrays(s, theta, phi)
+    kz = np.sqrt(kap * kap - rad2[inside])
+    vals = _factor_sq(s, np.column_stack([pts, kz]) / kap)
     if on_psd:
-        vals = vals / np.sqrt(kap * kap - (pts[:, 0] ** 2 + pts[:, 1] ** 2))
+        vals = vals / kz
     keep = vals >= vals.max() * 10.0 ** (threshold_db / 10.0)
     if not np.any(keep):
         raise ValueError("threshold leaves no wavevectors above it")

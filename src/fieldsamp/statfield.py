@@ -3,10 +3,12 @@
 The field is a zero-mean stationary circularly-symmetric Gaussian process
 over the plane with unit power per point.  Its spatial autocorrelation is
 the hemisphere integral of the squared spectral factor against the plane
-wave phase; for isotropic scattering this reduces to the classic
-``sinc(2|r|/wavelength)`` profile.  Realizations are synthesized as finite
-sums of plane waves with directions drawn from the scenario's angular
-density and independent complex Gaussian gains.
+wave phase, a plane-wave sum over quadrature nodes; for isotropic scattering
+this reduces to the classic ``sinc(2|r|/wavelength)`` profile.  Realizations
+are synthesized as finite sums of plane waves with directions drawn from the
+scenario's angular density and independent complex Gaussian gains.  Either
+sum is evaluated at any positions by ``_plane_wave_sum`` and at lattice
+indices by ``_lattice_wave_sum``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from ._quad import gauss_legendre, refine
+from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, Wavenumber
-from .scattering import ScatteringScenario, _factor_sq_arrays
+from .scattering import ScatteringScenario, _factor_sq
 
 __all__ = [
     "Acf",
@@ -82,26 +84,14 @@ def acf_clarke(r, kn: Wavenumber) -> float:
     return float(np.sinc(2.0 * math.hypot(disp[0], disp[1]) / kn.wavelength))
 
 
-def _phase_sum(disp: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j exp(i disp . k_j) accumulated in fixed chunk order."""
-    out = np.zeros(len(disp), dtype=complex)
-    for r0 in range(0, len(disp), _ROW_CHUNK):
-        d = disp[r0:r0 + _ROW_CHUNK]
-        acc = np.zeros(len(d), dtype=complex)
-        for c0 in range(0, len(k), _NODE_CHUNK):
-            acc += np.exp(1j * (d @ k[c0:c0 + _NODE_CHUNK].T)) @ w[c0:c0 + _NODE_CHUNK]
-        out[r0:r0 + _ROW_CHUNK] = acc
-    return out
-
-
 class NumericAcf(Acf):
     """Autocorrelation of an arbitrary scenario by hemisphere quadrature.
 
     Gauss-Legendre nodes over (theta, phi) are refined by doubling until two
     successive levels agree within ``tol`` on the requested displacements;
     values are normalized by the same-level value at zero displacement so
-    that ``c(0) = 1`` exactly.  ``eval_many`` forms one complex exponential
-    per (displacement, node) pair; ``eval_lattice`` factors each node's
+    that ``c(0) = 1`` exactly.  ``eval_many`` sums each node's plane wave at
+    every displacement (``_plane_wave_sum``); ``eval_lattice`` factors each node's
     phase at ``Q n`` as ``exp(i n1 b1) exp(i n2 b2)`` with ``b = Q.T k`` and
     sums over the integer index box (``_lattice_wave_sum``), so it needs
     exponentials only along the two axes of the box.  Both run the same
@@ -114,16 +104,8 @@ class NumericAcf(Acf):
         self.tol = tol
 
     def _level_nodes(self, nt: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
-        th, wth = gauss_legendre(nt, 0.0, math.pi / 2.0)
-        ph, wph = gauss_legendre(nf, 0.0, TWO_PI)
-        tg, pg = np.meshgrid(th, ph, indexing="ij")
-        factor = _factor_sq_arrays(self.scenario, tg, pg)
-        w = (factor * np.sin(tg) * wth[:, None] * wph[None, :]).ravel()
-        st = np.sin(tg).ravel()
-        k = self.kn.kappa * np.column_stack(
-            [st * np.cos(pg).ravel(), st * np.sin(pg).ravel()]
-        )
-        return k, w
+        u, w = hemisphere_rule(nt, nf)
+        return self.kn.kappa * u[:, :2], _factor_sq(self.scenario, u) * w
 
     def _refine(self, level_sum) -> np.ndarray:
         """Refine ``level_sum(k, w)``, whose last entry is the origin's sum."""
@@ -138,15 +120,12 @@ class NumericAcf(Acf):
         if disp.shape[-1] != 2:
             raise ValueError("displacements must have two components")
         ext = np.vstack([disp, [[0.0, 0.0]]])
-        return self._refine(lambda k, w: _phase_sum(ext, k, w))
+        return self._refine(lambda k, w: _plane_wave_sum(ext, k, w))
 
     def eval_lattice(self, q: np.ndarray, indices: np.ndarray) -> np.ndarray:
         indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
         ext = np.vstack([indices, [[0, 0]]])
-        return self._refine(lambda k, w: sum(
-            _lattice_wave_sum(q, ext, k[c0:c0 + _NODE_CHUNK], w[c0:c0 + _NODE_CHUNK])
-            for c0 in range(0, len(k), _NODE_CHUNK)
-        ))
+        return self._refine(lambda k, w: _lattice_wave_sum(q, ext, k, w))
 
 
 def acf_numeric(s: ScatteringScenario, r, tol: float = 1e-6) -> complex:
@@ -168,10 +147,8 @@ def average_energy(s: ScatteringScenario) -> EnergyReport:
     it doubles as a consistency check of the normalization constants.
     """
     def level(nodes):
-        th, wth = gauss_legendre(nodes[0], 0.0, math.pi / 2.0)
-        ph, wph = gauss_legendre(nodes[1], 0.0, TWO_PI)
-        tg, pg = np.meshgrid(th, ph, indexing="ij")
-        return float(wth @ (_factor_sq_arrays(s, tg, pg) * np.sin(tg)) @ wph)
+        u, w = hemisphere_rule(*nodes)
+        return float(w @ _factor_sq(s, u))
 
     return EnergyReport(sigma_sq=refine(_ACF_LEVELS, level, 1e-10, "energy quadrature"))
 
@@ -257,13 +234,21 @@ def _plane_wave_sum(positions: np.ndarray, k: np.ndarray, gains: np.ndarray) -> 
 
     Splitting into cos/sin parts keeps every matrix product in real
     arithmetic, which is substantially faster than forming the complex
-    phase matrix.
+    phase matrix.  Blocks of at most ``_ROW_CHUNK * _NODE_CHUNK`` phases, at
+    most ``_NODE_CHUNK`` waves wide, are summed in a fixed order.
     """
-    phase = positions @ k.T
-    c, sn = np.cos(phase), np.sin(phase)
-    out = np.empty(len(positions), dtype=complex)
-    out.real = c @ gains.real - sn @ gains.imag
-    out.imag = c @ gains.imag + sn @ gains.real
+    nodes = min(len(k), _NODE_CHUNK)
+    rows = _ROW_CHUNK * _NODE_CHUNK // nodes
+    out = np.zeros(len(positions), dtype=complex)
+    for r0 in range(0, len(positions), rows):
+        acc = out[r0:r0 + rows]
+        for c0 in range(0, len(k), nodes):
+            g = gains[c0:c0 + nodes]
+            phase = positions[r0:r0 + rows] @ k[c0:c0 + nodes].T
+            c = np.cos(phase)
+            sn = np.sin(phase, out=phase)
+            acc.real += c @ g.real - sn @ g.imag
+            acc.imag += c @ g.imag + sn @ g.real
     return out
 
 
@@ -290,14 +275,17 @@ def _lattice_wave_sum(q: np.ndarray, indices: np.ndarray, k: np.ndarray,
 
     With ``b = Q.T @ k`` each wave factors as ``exp(i n1 b1) exp(i n2 b2)``,
     so the sum over the whole index box is one complex matrix product of two
-    small exponential tables, from which the requested indices are gathered.
+    small exponential tables per ``_NODE_CHUNK`` waves, from which the
+    requested indices are gathered.
     """
-    b = k @ q
     lo = indices.min(axis=0)
     hi = indices.max(axis=0)
-    e1 = _exp_table(lo[0], hi[0], b[:, 0])
-    e2 = _exp_table(lo[1], hi[1], b[:, 1])
-    box = e1 @ (e2 * gains).T
+    box = 0
+    for c0 in range(0, len(k), _NODE_CHUNK):
+        b = k[c0:c0 + _NODE_CHUNK] @ q
+        e1 = _exp_table(lo[0], hi[0], b[:, 0])
+        e2 = _exp_table(lo[1], hi[1], b[:, 1])
+        box = box + e1 @ (e2 * gains[c0:c0 + _NODE_CHUNK]).T
     return box[indices[:, 0] - lo[0], indices[:, 1] - lo[1]]
 
 

@@ -66,6 +66,9 @@ class TestUsage:
         ["reconstruct", "--seed", "-1"],
         ["mse-sweep", "--a1", "0.5", "--a2", "0.4", "--L-list", "2,-4"],
         ["mse-sweep", "--a1", "0.5", "--a2", "0.4", "--L-list", "2,nan"],
+        # an ellipse narrower than the isotropic spectrum would alias it
+        ["reconstruct", "--a1", "0.8", "--a2", "0.5", "--phi-deg", "37",
+         "--L", "12", "--segment", "3"],
     ])
     def test_bad_flag_values_exit_two(self, args, tmp_path):
         res = run_cli(args, tmp_path)
@@ -206,6 +209,16 @@ class TestReconstruct:
         lines = (tmp_path / "out" / "reconstruct.csv").read_text().splitlines()
         assert lines[0] == "x,re_true,re_hat_nyquist,re_hat_halflambda"
         assert len(lines) == 4 * 16 + 2  # 16 points per wavelength, inclusive
+
+    def test_explicit_axes_covering_the_spectrum(self, tmp_path, scen40):
+        # the alpha=40 spectrum fits in a1 = 0.47, so a 0.8 x 0.5 ellipse covers it
+        res = run_cli(["reconstruct", "--scenario", scen40, "--a1", "0.8",
+                       "--a2", "0.5", "--L", "10", "--segment", "4", "--out", "out"],
+                      tmp_path)
+        assert res.returncode == 0, res.stderr
+        summary = read_json(tmp_path / "out" / "reconstruct_summary.json")
+        assert summary["ellipse"]["a1"] == 0.8
+        assert 0.0 < summary["rms_error_nyquist"] < 0.5
 
 
 class TestSupportFit:

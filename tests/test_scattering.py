@@ -16,6 +16,7 @@ from fieldsamp import (
     support_area_at_threshold,
     support_at_threshold,
 )
+from fieldsamp._quad import hemisphere_rule
 from fieldsamp.scattering import _hemisphere_exp_integral
 from helpers import broadside_cluster, two_cluster_scenario
 
@@ -89,6 +90,19 @@ class TestScenarioConstruction:
         # file is plain JSON with only the documented keys
         doc = json.loads(path.read_text())
         assert set(doc) == {"lambda", "clusters"}
+
+
+class TestHemisphereRule:
+    @pytest.mark.parametrize("nt, nf", [(8, 16), (64, 128)])
+    def test_closed_form_moments(self, nt, nf):
+        # sin(theta) dtheta dphi over the hemisphere: total 2*pi, first
+        # moment pi along z and zero across it
+        u, w = hemisphere_rule(nt, nf)
+        assert u.shape == (nt * nf, 3) and w.shape == (nt * nf,)
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-15
+        assert w.sum() == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert w @ u[:, 2] == pytest.approx(math.pi, abs=1e-12)
+        assert abs(w @ u[:, 0]) < 1e-12 and abs(w @ u[:, 1]) < 1e-12
 
 
 class TestSpectralFactor:

@@ -190,18 +190,26 @@ class TestSynthesize:
 
 
 class TestLatticeWaveSum:
-    @pytest.mark.parametrize("q", [
-        nyquist_rect(KN),
-        nyquist_hex(KN),
-        nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)),
-    ], ids=["rect", "hex", "rotated-ellipse"])
-    def test_matches_direct_sum_on_lattice(self, q):
+    @pytest.mark.parametrize("q, chunks", [
+        (nyquist_rect(KN), None),
+        (nyquist_hex(KN), None),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)), None),
+        # blocks of 7 positions by 100 waves: 512 waves leave a partial chunk
+        (nyquist_hex(KN), (7, 100)),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)), (7, 100)),
+    ], ids=["rect", "hex", "rotated-ellipse", "hex-small-chunks",
+            "rotated-ellipse-small-chunks"])
+    def test_matches_direct_sum_on_lattice(self, q, chunks, monkeypatch):
+        if chunks is not None:
+            monkeypatch.setattr(statfield, "_ROW_CHUNK", chunks[0])
+            monkeypatch.setattr(statfield, "_NODE_CHUNK", chunks[1])
         pts = enumerate_lattice(q, Region(side=16.0 * LAM))
         k, gains = _draw_waves(broadside_cluster(40.0),
                                np.random.default_rng([3, 1]), 512)
+        ref = np.exp(1j * (pts.positions @ k.T)) @ gains
         out = _lattice_wave_sum(q.q, pts.indices, k, gains)
-        ref = _plane_wave_sum(pts.positions, k, gains)
         assert np.abs(out - ref).max() < 1e-10
+        assert np.abs(_plane_wave_sum(pts.positions, k, gains) - ref).max() < 1e-10
 
     def test_matches_direct_sum_on_eval_grid(self):
         # the MSE evaluation grid: lattice step*I over a square index box
