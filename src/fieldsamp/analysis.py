@@ -304,6 +304,15 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
     depend on ``n_realizations`` alone.  ``workers`` is validated but changes
     neither the results nor the execution: the BLAS library already runs the
     matrix products on every core it uses.
+
+    The grid and the samples are symmetric through the origin (grid row
+    ``G-1-r`` is at ``-grid[r]``, sample row ``N-1-n`` at ``-r_n``), and the
+    kernel is even, so the interpolation matrix's bottom rows are its top
+    rows with the samples reversed.  Only the ``(G+1)//2`` rows up to the
+    grid centre are built; each block's product with the samples and the
+    reversed samples gives the whole reconstruction.  The centre row is
+    checked to equal its own reverse within 1e-12, so a kernel that is not
+    even raises ``ValueError``.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
@@ -326,14 +335,21 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
     grid_q = step * np.eye(2)
     axis = grid_axis * step
 
-    f = _interp_matrix(kern, grid_idx * step, pts.positions)
+    # rows up to the grid centre; the rest mirror them (see the docstring)
+    n_grid = len(grid_idx)
+    top = (n_grid + 1) // 2
+    f = _interp_matrix(kern, grid_idx[:top] * step, pts.positions)
+    centre = f[top - 1]
+    if np.abs(centre - centre[::-1]).max() > 1e-12:
+        raise ValueError("kernel must be even: f(-r) and f(r) differ by more than "
+                         "1e-12 at the sample positions")
     n_s = len(pts)
     root_m = math.sqrt(n_waves)
-    total = np.zeros(len(grid_idx))
+    total = np.zeros(n_grid)
     for b0 in range(0, n_realizations, _MSE_BLOCK):
         width = min(_MSE_BLOCK, n_realizations - b0)
         stacked = np.empty((n_s, 2 * width))
-        truth = np.empty((len(grid_idx), width), dtype=complex)
+        truth = np.empty((n_grid, width), dtype=complex)
         for j in range(width):
             # same wave draw as synthesize() for this substream
             rng = np.random.default_rng(_substream(seed, b0 + j))
@@ -342,7 +358,8 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
             stacked[:, j] = es.real
             stacked[:, width + j] = es.imag
             truth[:, j] = _lattice_wave_sum(grid_q, grid_idx, k, gains) / root_m
-        recon = f @ stacked
+        both = f @ np.hstack([stacked, stacked[::-1]])
+        recon = np.vstack([both[:, :2 * width], both[:n_grid - top, 2 * width:][::-1]])
         total += ((truth.real - recon[:, :width]) ** 2
                   + (truth.imag - recon[:, width:]) ** 2).sum(axis=1)
 

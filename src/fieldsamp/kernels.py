@@ -94,18 +94,19 @@ _THPIO4 = 2.35619449019234492885  # 3*pi/4
 _SQ2OPI = 0.79788456080286535588  # sqrt(2/pi)
 
 
-def _polevl(x: np.ndarray, coefs) -> np.ndarray:
-    out = np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        out = out * x + c
+def _horner(out: np.ndarray, x: np.ndarray, coefs) -> np.ndarray:
+    for c in coefs:
+        out *= x
+        out += c
     return out
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    return _horner(np.full_like(x, coefs[0]), x, coefs[1:])
 
 
 def _p1evl(x: np.ndarray, coefs) -> np.ndarray:
-    out = x + coefs[0]
-    for c in coefs[1:]:
-        out = out * x + c
-    return out
+    return _horner(x + coefs[0], x, coefs[1:])
 
 
 def bessel_j1(x):
@@ -166,6 +167,8 @@ class Kernel:
 
     Calling the kernel with displacements of shape (..., 2) returns the
     kernel value at each displacement.  ``peak`` is the value at the origin.
+    Every support is centrally symmetric, so its kernel is even,
+    ``f(-r) = f(r)``; ``mse_experiment`` relies on this and checks it.
     """
 
     support: SpectralSupport

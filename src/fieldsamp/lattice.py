@@ -191,7 +191,9 @@ def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
 
     The candidate integer box is found by mapping the region corners through
     inv(Q); points with a coordinate exactly on the region boundary are
-    included.  Rows are ordered by (n2, n1).
+    included.  Rows are ordered by (n2, n1).  The box and the window are
+    symmetric through the origin, so rows ``i`` and ``N-1-i`` are exact
+    mirrors: their indices and positions are negatives of each other.
     """
     half = 0.5 * region.side
     corners = np.array([[half, half], [half, -half], [-half, half], [-half, -half]])

@@ -258,7 +258,9 @@ def support_at_threshold(s: ScatteringScenario, threshold_db: float = -20.0,
     points within ``threshold_db`` of the maximum are kept.  Axis directions
     come from the principal components of the kept set about the origin,
     axis lengths from its extremal projections, inflated uniformly so every
-    kept point is covered.
+    kept point is covered.  An axis cannot exceed the wavevector disk: when
+    the major axis is capped at ``kappa``, the minor axis grows just enough
+    that the capped ellipse still covers every kept point.
 
     Returns
     -------
@@ -275,10 +277,18 @@ def support_at_threshold(s: ScatteringScenario, threshold_db: float = -20.0,
         raise ValueError("super-threshold set is degenerate; cannot fit an ellipse")
     inflate = np.hypot(proj[:, 0] / extent[0], proj[:, 1] / extent[1]).max()
     hi = int(np.argmax(extent))
-    major, minor = extent[hi] * inflate, extent[1 - hi] * inflate
+    a1, a2 = extent[hi] * inflate / kap, extent[1 - hi] * inflate / kap
+    if a1 > 1.0:
+        # the major axis stops at the disk: widen the minor axis until the
+        # ellipse with a1 = 1 covers every kept point (the full disk does)
+        a1 = 1.0
+        room = np.sqrt(np.maximum(kap * kap - proj[:, hi] ** 2, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = np.nanmax(np.abs(proj[:, 1 - hi]) / room)
+        a2 = max(a2, need)
     v_major = vecs[:, hi]
     phi = math.atan2(v_major[1], v_major[0]) % TWO_PI
-    return EllipseShape(a1=min(major / kap, 1.0), a2=min(minor / kap, 1.0), phi=phi)
+    return EllipseShape(a1=float(a1), a2=float(min(a2, 1.0)), phi=phi)
 
 
 def support_area_at_threshold(s: ScatteringScenario, threshold_db: float = -20.0,

@@ -9,11 +9,13 @@ import pytest
 
 from fieldsamp import (
     Region,
+    ScatteringScenario,
     Wavenumber,
     acf_clarke,
     density,
     enumerate_lattice,
     nyquist_hex,
+    support_at_threshold,
 )
 from fieldsamp import cli
 from helpers import broadside_json, run_cli, two_cluster_json, write_scenario
@@ -219,6 +221,27 @@ class TestReconstruct:
         summary = read_json(tmp_path / "out" / "reconstruct_summary.json")
         assert summary["ellipse"]["a1"] == 0.8
         assert 0.0 < summary["rms_error_nyquist"] < 0.5
+
+    @pytest.mark.parametrize("theta_deg, phi_deg, alpha, threshold", [
+        (math.degrees(1.5), math.degrees(0.3), 5.0, -3.0),
+        (math.degrees(1.5), math.degrees(0.3), 5.0, -20.0),
+        (math.degrees(0.9), 0.0, 3.0, -3.0),
+    ], ids=["theta1.5-3dB", "theta1.5-20dB", "theta0.9-3dB"])
+    def test_fitted_axes_pass_the_coverage_check(self, tmp_path, theta_deg, phi_deg,
+                                                 alpha, threshold):
+        # near-horizon clusters whose fit caps the major axis at the disk
+        scen = write_scenario(tmp_path / "horizon.json", {
+            "lambda": 1.0,
+            "clusters": [{"weight": 1.0, "theta_deg": theta_deg,
+                          "phi_deg": phi_deg, "alpha": alpha}],
+        })
+        shape = support_at_threshold(ScatteringScenario.from_json(scen), threshold)
+        res = run_cli(["reconstruct", "--scenario", scen, "--a1", repr(shape.a1),
+                       "--a2", repr(shape.a2),
+                       "--phi-deg", repr(math.degrees(shape.phi)),
+                       "--threshold-db", threshold, "--L", "4", "--segment", "2",
+                       "--n-waves", "64", "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
 
 
 class TestSupportFit:

@@ -148,6 +148,22 @@ class TestEnumerate:
         assert any(np.allclose(p, [0.0, 0.0]) for p in pts.positions)
         assert any(np.allclose(p, [2.0, 2.0]) for p in pts.positions)
 
+    @pytest.mark.parametrize("q,side", [
+        (nyquist_rect(KN), 10.0 * LAM),  # points exactly on the window boundary
+        (nyquist_hex(KN), 7.3 * LAM),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)), 9.0 * LAM),
+        (SamplingMatrix(np.diag([0.5, 0.4])
+                        + np.random.default_rng(3).normal(scale=0.2, size=(2, 2))),
+         6.0 * LAM),
+    ], ids=["rect-boundary", "hex", "rotated-ellipse", "random-sheared"])
+    def test_rows_mirror_through_origin(self, q, side):
+        # the MSE experiment builds half its interpolation matrix on this:
+        # row N-1-i is exactly the negative of row i
+        pts = enumerate_lattice(q, Region(side=side))
+        assert len(pts) % 2 == 1
+        assert np.array_equal(pts.indices[::-1], -pts.indices)
+        assert np.array_equal(pts.positions[::-1], -pts.positions)
+
     def test_deterministic_ordering(self):
         q = nyquist_hex(KN)
         a = enumerate_lattice(q, Region(side=5.0 * LAM))

@@ -17,7 +17,7 @@ from fieldsamp import (
     support_at_threshold,
 )
 from fieldsamp._quad import hemisphere_rule
-from fieldsamp.scattering import _hemisphere_exp_integral
+from fieldsamp.scattering import _hemisphere_exp_integral, _threshold_mask
 from helpers import broadside_cluster, two_cluster_scenario
 
 LAM = 1.0
@@ -212,6 +212,22 @@ class TestSupportFit:
         ell = math.pi * KN.kappa ** 2 * shape.a1 * shape.a2
         # the grid-counted set is covered by (and nearly fills) the ellipse
         assert area == pytest.approx(ell, rel=0.02)
+
+    @pytest.mark.parametrize("theta, phi, alpha, threshold", [
+        (1.5, 0.3, 5.0, -3.0),
+        (1.5, 0.3, 5.0, -20.0),
+        (0.9, 0.0, 3.0, -3.0),
+    ], ids=["theta1.5-3dB", "theta1.5-20dB", "theta0.9-3dB"])
+    def test_capped_fit_covers_near_horizon_clusters(self, theta, phi, alpha, threshold):
+        # the major axis reaches the disk, so the minor axis has to widen
+        s = ScatteringScenario(kn=KN, clusters=(
+            VmfCluster(weight=1.0, theta_r=theta, phi_r=phi, alpha=alpha),))
+        shape = support_at_threshold(s, threshold)
+        assert shape.a1 == 1.0
+        pts, _ = _threshold_mask(s, threshold, on_psd=False)
+        base = pts @ shape.inverse_shape_matrix.T
+        # the boundary slack of lattice.alias_free
+        assert np.hypot(base[:, 0], base[:, 1]).max() <= KN.kappa * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("threshold", [0.0, 3.0, math.nan, math.inf])
     def test_threshold_must_be_negative(self, threshold):
