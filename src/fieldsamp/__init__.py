@@ -70,6 +70,7 @@ from .analysis import (
     dof_loss_rect_vs_disk,
     eigen_spectrum,
     mse_experiment,
+    mse_experiments,
     power_capture_count,
     reconstruct,
 )

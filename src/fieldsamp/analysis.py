@@ -34,6 +34,7 @@ __all__ = [
     "power_capture_count",
     "reconstruct",
     "mse_experiment",
+    "mse_experiments",
 ]
 
 
@@ -231,9 +232,12 @@ def _check_pairing(kern: Kernel, q: SamplingMatrix, allow_mismatched: bool) -> N
 
 def _interp_matrix(kern: Kernel, query: np.ndarray, samples: np.ndarray) -> np.ndarray:
     out = np.empty((len(query), len(samples)))
-    for r0 in range(0, len(query), _INTERP_ROWS):
-        diff = query[r0:r0 + _INTERP_ROWS, None, :] - samples[None, :, :]
-        out[r0:r0 + _INTERP_ROWS] = kern(diff)
+    # the kernel is elementwise, so any row chunking gives the same matrix;
+    # a fixed element budget keeps each chunk's temporaries small
+    rows = max(1, _INTERP_ELEMS // max(1, len(samples)))
+    for r0 in range(0, len(query), rows):
+        diff = query[r0:r0 + rows, None, :] - samples[None, :, :]
+        out[r0:r0 + rows] = kern(diff)
     return out
 
 
@@ -272,8 +276,9 @@ class MseReport:
     n_samples: int
 
 
-_INTERP_ROWS = 256
+_INTERP_ELEMS = 32768
 _MSE_BLOCK = 16
+_MSE_GROUP = 128  # a multiple of _MSE_BLOCK, so blocks never straddle groups
 
 
 def _substream(seed, index: int) -> list:
@@ -287,23 +292,49 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
                    n_realizations: int = 500, seed: int = 42,
                    n_waves: int = 1024, points_per_lambda: int = 8,
                    workers: int = 1, allow_mismatched: bool = False) -> MseReport:
-    """Monte Carlo reconstruction MSE over an interior evaluation grid.
+    """Monte Carlo reconstruction MSE of one sampling scheme.
 
-    Fields are synthesized from the scenario, sampled on the lattice of
-    ``q`` restricted to ``region``, reconstructed with ``kern``, and
-    compared on a uniform grid of ``points_per_lambda`` points per
-    wavelength covering ``eval_region`` (default: the observation region
-    shrunk by a quarter of its side on each side, keeping the comparison
-    away from the truncation boundary).
+    The one-scheme case of ``mse_experiments``, which documents the
+    arguments, the evaluation grid and the substreams; the report is the one
+    it gives for ``[(q, kern)]``, bit for bit.
+    """
+    return mse_experiments(s, [(q, kern)], region, eval_region=eval_region,
+                           n_realizations=n_realizations, seed=seed, n_waves=n_waves,
+                           points_per_lambda=points_per_lambda, workers=workers,
+                           allow_mismatched=allow_mismatched)[0]
+
+
+def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
+                    region: Region, eval_region: Region | None = None,
+                    n_realizations: int = 500, seed: int = 42,
+                    n_waves: int = 1024, points_per_lambda: int = 8,
+                    workers: int = 1, allow_mismatched: bool = False) -> list[MseReport]:
+    """Monte Carlo reconstruction MSE of several schemes on the same fields.
+
+    ``schemes`` is a sequence of ``(q, kern)`` pairs; one ``MseReport`` is
+    returned per pair, in order.  Fields are synthesized from the scenario,
+    sampled on the lattice of each ``q`` restricted to ``region``,
+    reconstructed with its ``kern``, and compared on a uniform grid of
+    ``points_per_lambda`` points per wavelength covering ``eval_region``
+    (default: the observation region shrunk by a quarter of its side on each
+    side, keeping the comparison away from the truncation boundary).  Every
+    argument and every pairing is checked before any wave is drawn.
 
     Realization ``i`` draws from the deterministic substream
-    ``default_rng([seed, i])``, so results are reproducible bit for bit; the
-    same substream yields the same field across schemes, making scheme
-    comparisons common-random-number paired.  Realizations are reconstructed
-    in fixed blocks of 16, one matrix product per block, so block boundaries
-    depend on ``n_realizations`` alone.  ``workers`` is validated but changes
-    neither the results nor the execution: the BLAS library already runs the
-    matrix products on every core it uses.
+    ``default_rng([seed, i])``, so results are reproducible bit for bit and
+    the schemes are common-random-number paired: all of them see the same
+    field.  Each realization's waves are therefore drawn once, and its true
+    field on the grid synthesized once, for all schemes.  Realizations run
+    in groups of 128; a group's truth is kept as an ``n_grid x group``
+    complex table, so at most ``min(R, 128) * n_grid * 16`` bytes of it are
+    held whatever ``n_realizations`` (R) is.  Each scheme's interpolation
+    matrix is rebuilt per group, once when R <= 128.  Within a group,
+    realizations are reconstructed in fixed blocks of 16, one matrix product
+    per block; block boundaries depend on R alone, and a scheme's errors are
+    summed in the same order whether it runs alone or with others.
+    ``workers`` is validated but changes neither the results nor the
+    execution: the BLAS library already runs the matrix products on every
+    core it uses.
 
     The grid and the samples are symmetric through the origin (grid row
     ``G-1-r`` is at ``-grid[r]``, sample row ``N-1-n`` at ``-r_n``), and the
@@ -322,9 +353,9 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
         eval_region = Region(side=0.5 * region.side)
     if eval_region.side > region.side * (1.0 + 1e-12):
         raise ValueError("evaluation region must lie inside the observation region")
-
-    pts = enumerate_lattice(q, region)
-    _check_pairing(kern, q, allow_mismatched)
+    for q, kern in schemes:
+        _check_pairing(kern, q, allow_mismatched)
+    lattices = [enumerate_lattice(q, region) for q, _ in schemes]
 
     # the evaluation grid is the lattice step*I over a square index box
     step = s.kn.wavelength / points_per_lambda
@@ -333,43 +364,61 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
     gx, gy = np.meshgrid(grid_axis, grid_axis, indexing="ij")
     grid_idx = np.column_stack([gx.ravel(), gy.ravel()])
     grid_q = step * np.eye(2)
-    axis = grid_axis * step
-
     # rows up to the grid centre; the rest mirror them (see the docstring)
-    n_grid = len(grid_idx)
-    top = (n_grid + 1) // 2
-    f = _interp_matrix(kern, grid_idx[:top] * step, pts.positions)
+    query = grid_idx[:(len(grid_idx) + 1) // 2] * step
+
+    root_m = math.sqrt(n_waves)
+    totals = [np.zeros(len(grid_idx)) for _ in schemes]
+    for g0 in range(0, n_realizations, _MSE_GROUP):
+        # same wave draws as synthesize() for these substreams
+        waves = [_draw_waves(s, np.random.default_rng(_substream(seed, i)), n_waves)
+                 for i in range(g0, min(g0 + _MSE_GROUP, n_realizations))]
+        truth = np.empty((len(grid_idx), len(waves)), dtype=complex)
+        for j, (k, gains) in enumerate(waves):
+            truth[:, j] = _lattice_wave_sum(grid_q, grid_idx, k, gains) / root_m
+        for (q, kern), pts, total in zip(schemes, lattices, totals):
+            _add_squared_errors(total, q, kern, pts, query, waves, truth, root_m)
+
+    axis = grid_axis * step
+    reports = []
+    for pts, total in zip(lattices, totals):
+        pointwise = (total / n_realizations).reshape(len(axis), len(axis))
+        average = float(pointwise.mean())
+        reports.append(MseReport(
+            axis=axis,
+            pointwise=pointwise,
+            average=average,
+            normalized=average / 1.0,
+            n_realizations=n_realizations,
+            n_samples=len(pts),
+        ))
+    return reports
+
+
+def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
+                        pts: LatticePointSet, query: np.ndarray, waves: list,
+                        truth: np.ndarray, root_m: float) -> None:
+    """Add one group's squared reconstruction errors of one scheme into ``total``.
+
+    ``query`` holds the grid rows up to the centre, ``waves`` the group's
+    draws and ``truth`` their fields on the whole grid, one column each.
+    """
+    n_grid, top = len(truth), len(query)
+    f = _interp_matrix(kern, query, pts.positions)
     centre = f[top - 1]
     if np.abs(centre - centre[::-1]).max() > 1e-12:
         raise ValueError("kernel must be even: f(-r) and f(r) differ by more than "
                          "1e-12 at the sample positions")
     n_s = len(pts)
-    root_m = math.sqrt(n_waves)
-    total = np.zeros(n_grid)
-    for b0 in range(0, n_realizations, _MSE_BLOCK):
-        width = min(_MSE_BLOCK, n_realizations - b0)
+    for b0 in range(0, len(waves), _MSE_BLOCK):
+        width = min(_MSE_BLOCK, len(waves) - b0)
         stacked = np.empty((n_s, 2 * width))
-        truth = np.empty((n_grid, width), dtype=complex)
-        for j in range(width):
-            # same wave draw as synthesize() for this substream
-            rng = np.random.default_rng(_substream(seed, b0 + j))
-            k, gains = _draw_waves(s, rng, n_waves)
+        for j, (k, gains) in enumerate(waves[b0:b0 + width]):
             es = _lattice_wave_sum(q.q, pts.indices, k, gains) / root_m
             stacked[:, j] = es.real
             stacked[:, width + j] = es.imag
-            truth[:, j] = _lattice_wave_sum(grid_q, grid_idx, k, gains) / root_m
         both = f @ np.hstack([stacked, stacked[::-1]])
         recon = np.vstack([both[:, :2 * width], both[:n_grid - top, 2 * width:][::-1]])
-        total += ((truth.real - recon[:, :width]) ** 2
-                  + (truth.imag - recon[:, width:]) ** 2).sum(axis=1)
-
-    pointwise = (total / n_realizations).reshape(len(axis), len(axis))
-    average = float(pointwise.mean())
-    return MseReport(
-        axis=axis,
-        pointwise=pointwise,
-        average=average,
-        normalized=average / 1.0,
-        n_realizations=n_realizations,
-        n_samples=n_s,
-    )
+        block = truth[:, b0:b0 + width]
+        total += ((block.real - recon[:, :width]) ** 2
+                  + (block.imag - recon[:, width:]) ** 2).sum(axis=1)

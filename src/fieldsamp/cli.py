@@ -25,7 +25,7 @@ from .analysis import (
     dof,
     dof_loss_rect_vs_disk,
     eigen_spectrum,
-    mse_experiment,
+    mse_experiments,
     power_capture_count,
     reconstruct,
 )
@@ -355,13 +355,12 @@ def cmd_mse_sweep(args) -> dict:
     ]
     rows = []
     for side in sides:
-        region = Region(side=side * lam)
-        for name, q, kern in schemes:
-            rep = mse_experiment(
-                scenario, q, kern, region,
-                n_realizations=args.realizations, seed=args.seed,
-                n_waves=args.n_waves, workers=args.workers,
-            )
+        reports = mse_experiments(
+            scenario, [(q, kern) for _, q, kern in schemes], Region(side=side * lam),
+            n_realizations=args.realizations, seed=args.seed,
+            n_waves=args.n_waves, workers=args.workers,
+        )
+        for (name, _, _), rep in zip(schemes, reports):
             rows.append((side, name, 10.0 * math.log10(rep.normalized)))
     return {
         "mse_sweep.csv": ("csv", ["L_over_lambda", "scheme", "normalized_mse_db"], rows),

@@ -33,7 +33,7 @@ from fieldsamp import (
     kernel_ellipse,
     kernel_oracle,
     kernel_rect,
-    mse_experiment,
+    mse_experiments,
     nyquist_ellipse,
     nyquist_hex,
     nyquist_rect,
@@ -209,13 +209,13 @@ def test_criterion_08_mse_sweep_properties():
         ("hex", nyquist_hex(KN), kernel_disk(KN)),
         ("rect_half_lambda", nyquist_rect(KN), kernel_rect(KN)),
     ]
-    curves = {}
-    for name, q, kern in schemes:
-        curves[name] = [
-            mse_experiment(s, q, kern, Region(side=side * LAM),
-                           n_realizations=500, seed=42, n_waves=512).normalized
-            for side in (2.0, 4.0, 8.0, 16.0, 20.0)
-        ]
+    curves = {name: [] for name, _, _ in schemes}
+    for side in (2.0, 4.0, 8.0, 16.0, 20.0):
+        reports = mse_experiments(s, [(q, kern) for _, q, kern in schemes],
+                                  Region(side=side * LAM),
+                                  n_realizations=500, seed=42, n_waves=512)
+        for (name, _, _), rep in zip(schemes, reports):
+            curves[name].append(rep.normalized)
     for name, vals in curves.items():
         assert all(b <= a for a, b in zip(vals, vals[1:])), \
             f"{name} not monotone: {vals}"

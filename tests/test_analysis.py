@@ -28,6 +28,7 @@ from fieldsamp import (
     kernel_ellipse,
     kernel_rect,
     mse_experiment,
+    mse_experiments,
     nyquist_ellipse,
     nyquist_hex,
     nyquist_rect,
@@ -35,6 +36,7 @@ from fieldsamp import (
     reconstruct,
     rotation_matrix,
 )
+from fieldsamp import analysis
 from fieldsamp.analysis import AutocorrMatrix, _interp_matrix
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _plane_wave_sum
@@ -325,6 +327,29 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0, 0.0)])
 
+    def test_interp_matrix_chunking_is_bitwise_neutral(self, monkeypatch):
+        # the kernel is elementwise, so a one-row-per-chunk build equals one chunk
+        kern = kernel_disk(KN)
+        samples = enumerate_lattice(nyquist_hex(KN), Region(side=3.0 * LAM)).positions
+        query = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
+        whole = kern(query[:, None, :] - samples[None, :, :])
+        monkeypatch.setattr(analysis, "_INTERP_ELEMS", 7)
+        assert np.array_equal(_interp_matrix(kern, query, samples), whole)
+
+    def test_interp_matrix_calls_stay_within_element_budget(self):
+        kern = kernel_disk(KN)
+        sizes = []
+
+        def counting(r):
+            sizes.append(r.size // 2)
+            return kern.fn(r)
+
+        samples = enumerate_lattice(nyquist_hex(KN), Region(side=8.0 * LAM)).positions
+        query = np.random.default_rng(1).uniform(-1.0, 1.0, (400, 2))
+        _interp_matrix(Kernel(kern.support, kern.peak, fn=counting), query, samples)
+        assert sum(sizes) == len(query) * len(samples)
+        assert max(sizes) <= analysis._INTERP_ELEMS
+
 
 class TestMseExperiment:
     def test_deterministic_across_workers(self):
@@ -370,6 +395,46 @@ class TestMseExperiment:
         exact = ref < 1e-24
         assert np.all(rep.pointwise[exact] < 1e-24)
         np.testing.assert_allclose(rep.pointwise[~exact], ref[~exact], rtol=1e-12, atol=0.0)
+
+    def test_shared_schemes_match_separate_runs(self, monkeypatch):
+        # one draw and one grid truth per realization for all schemes gives
+        # each scheme's separate result bit for bit, whatever the group size
+        shape = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
+        schemes = [(nyquist_rect(KN), kernel_rect(KN)), (nyquist_hex(KN), kernel_disk(KN)),
+                   (nyquist_ellipse(KN, shape), kernel_ellipse(KN, shape))]
+        s, region = broadside_cluster(40.0), Region(side=3.0 * LAM)
+        kwargs = dict(n_realizations=37, seed=13, n_waves=48)
+        separate = [mse_experiment(s, q, kern, region, **kwargs) for q, kern in schemes]
+        # 32 gives two groups, the second a partial block
+        for group in (analysis._MSE_GROUP, 32):
+            monkeypatch.setattr(analysis, "_MSE_GROUP", group)
+            shared = mse_experiments(s, schemes, region, **kwargs)
+            assert len(shared) == len(schemes)
+            for a, b in zip(shared, separate):
+                assert np.array_equal(a.pointwise, b.pointwise)
+                assert a.n_samples == b.n_samples
+
+    def test_waves_drawn_once_per_realization(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _draw_waves(*args)
+
+        monkeypatch.setattr(analysis, "_draw_waves", counting)
+        schemes = [(nyquist_rect(KN), kernel_rect(KN)), (nyquist_hex(KN), kernel_disk(KN))]
+        mse_experiments(ISO, schemes, Region(side=2.0 * LAM), n_realizations=19,
+                        seed=2, n_waves=16)
+        assert len(calls) == 19
+
+    def test_mismatched_last_scheme_fails_before_drawing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "_draw_waves", lambda *args: calls.append(1))
+        q = nyquist_ellipse(KN, EllipseShape(a1=0.7, a2=0.4, phi=0.0))
+        schemes = [(nyquist_hex(KN), kernel_disk(KN)), (q, kernel_disk(KN))]
+        with pytest.raises(ValueError, match="allow_mismatched"):
+            mse_experiments(ISO, schemes, Region(side=2.0), n_realizations=2, n_waves=16)
+        assert not calls
 
     def test_builds_half_the_interpolation_matrix(self):
         # grid and samples mirror through the origin, so one cell evaluates
