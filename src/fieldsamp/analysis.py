@@ -222,12 +222,10 @@ def _check_on_lattice(positions: np.ndarray, q: SamplingMatrix) -> None:
         )
 
 
-def _check_pairing(kern: Kernel, q: SamplingMatrix, allow_mismatched: bool) -> None:
-    if not allow_mismatched and not alias_free(kern.support, q):
-        raise ValueError(
-            "kernel support replicas overlap on this lattice; pass "
-            "allow_mismatched=True to force the mismatched pairing"
-        )
+def _check_pairing(kern: Kernel, q: SamplingMatrix) -> None:
+    if not alias_free(kern.support, q):
+        raise ValueError("kernel support replicas overlap on this lattice: "
+                         "the pairing aliases")
 
 
 def _interp_matrix(kern: Kernel, query: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -241,20 +239,20 @@ def _interp_matrix(kern: Kernel, query: np.ndarray, samples: np.ndarray) -> np.n
     return out
 
 
-def reconstruct(samples: FieldRealization, q: SamplingMatrix, kern: Kernel,
-                query, allow_mismatched: bool = False) -> np.ndarray:
+def reconstruct(samples: FieldRealization, q: SamplingMatrix, kern: Kernel, query) -> np.ndarray:
     """Cardinal-series reconstruction of the field at query positions.
 
     ``e_hat(r) = sum_n e(r_n) f(r - r_n)`` over the available samples.  The
-    sample positions must lie on the lattice of ``q``, and the kernel must be
-    alias-free on that lattice unless ``allow_mismatched`` is set.
+    sample positions must lie on the lattice of ``q``, and the kernel's
+    support must be alias-free on that lattice (``alias_free``); otherwise
+    ``ValueError`` is raised.
     """
     query = np.atleast_2d(np.asarray(query, dtype=float))
     if query.shape[-1] != 2:
         raise ValueError("query positions must have two columns")
     positions = np.asarray(samples.positions, dtype=float)
     _check_on_lattice(positions, q)
-    _check_pairing(kern, q, allow_mismatched)
+    _check_pairing(kern, q)
     f = _interp_matrix(kern, query, positions)
     return f @ samples.values
 
@@ -281,44 +279,32 @@ _MSE_BLOCK = 16
 _MSE_GROUP = 128  # a multiple of _MSE_BLOCK, so blocks never straddle groups
 
 
-def _substream(seed, index: int) -> list:
-    if isinstance(seed, (tuple, list, np.ndarray)):
-        return [int(v) for v in seed] + [int(index)]
-    return [int(seed), int(index)]
-
-
 def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
-                   region: Region, eval_region: Region | None = None,
-                   n_realizations: int = 500, seed: int = 42,
-                   n_waves: int = 1024, points_per_lambda: int = 8,
-                   workers: int = 1, allow_mismatched: bool = False) -> MseReport:
+                   region: Region, n_realizations: int = 500, seed: int = 42,
+                   n_waves: int = 1024, workers: int = 1) -> MseReport:
     """Monte Carlo reconstruction MSE of one sampling scheme.
 
     The one-scheme case of ``mse_experiments``, which documents the
     arguments, the evaluation grid and the substreams; the report is the one
     it gives for ``[(q, kern)]``, bit for bit.
     """
-    return mse_experiments(s, [(q, kern)], region, eval_region=eval_region,
-                           n_realizations=n_realizations, seed=seed, n_waves=n_waves,
-                           points_per_lambda=points_per_lambda, workers=workers,
-                           allow_mismatched=allow_mismatched)[0]
+    return mse_experiments(s, [(q, kern)], region, n_realizations=n_realizations,
+                           seed=seed, n_waves=n_waves, workers=workers)[0]
 
 
 def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
-                    region: Region, eval_region: Region | None = None,
-                    n_realizations: int = 500, seed: int = 42,
-                    n_waves: int = 1024, points_per_lambda: int = 8,
-                    workers: int = 1, allow_mismatched: bool = False) -> list[MseReport]:
+                    region: Region, n_realizations: int = 500, seed: int = 42,
+                    n_waves: int = 1024, workers: int = 1) -> list[MseReport]:
     """Monte Carlo reconstruction MSE of several schemes on the same fields.
 
     ``schemes`` is a sequence of ``(q, kern)`` pairs; one ``MseReport`` is
     returned per pair, in order.  Fields are synthesized from the scenario,
     sampled on the lattice of each ``q`` restricted to ``region``,
-    reconstructed with its ``kern``, and compared on a uniform grid of
-    ``points_per_lambda`` points per wavelength covering ``eval_region``
-    (default: the observation region shrunk by a quarter of its side on each
-    side, keeping the comparison away from the truncation boundary).  Every
-    argument and every pairing is checked before any wave is drawn.
+    reconstructed with its ``kern``, and compared on a uniform grid of 8
+    points per wavelength covering the central square of half the region's
+    side, away from the truncation boundary.  Every argument is checked, and
+    every pairing must be alias-free (``alias_free``), before any wave is
+    drawn; an aliasing pairing raises ``ValueError``.
 
     Realization ``i`` draws from the deterministic substream
     ``default_rng([seed, i])``, so results are reproducible bit for bit and
@@ -349,17 +335,13 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
-    if eval_region is None:
-        eval_region = Region(side=0.5 * region.side)
-    if eval_region.side > region.side * (1.0 + 1e-12):
-        raise ValueError("evaluation region must lie inside the observation region")
     for q, kern in schemes:
-        _check_pairing(kern, q, allow_mismatched)
+        _check_pairing(kern, q)
     lattices = [enumerate_lattice(q, region) for q, _ in schemes]
 
     # the evaluation grid is the lattice step*I over a square index box
-    step = s.kn.wavelength / points_per_lambda
-    half = int(math.floor(0.5 * eval_region.side / step + 1e-9))
+    step = s.kn.wavelength / 8
+    half = int(math.floor(0.25 * region.side / step + 1e-9))
     grid_axis = np.arange(-half, half + 1)
     gx, gy = np.meshgrid(grid_axis, grid_axis, indexing="ij")
     grid_idx = np.column_stack([gx.ravel(), gy.ravel()])
@@ -371,7 +353,7 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     totals = [np.zeros(len(grid_idx)) for _ in schemes]
     for g0 in range(0, n_realizations, _MSE_GROUP):
         # same wave draws as synthesize() for these substreams
-        waves = [_draw_waves(s, np.random.default_rng(_substream(seed, i)), n_waves)
+        waves = [_draw_waves(s, np.random.default_rng([seed, i]), n_waves)
                  for i in range(g0, min(g0 + _MSE_GROUP, n_realizations))]
         truth = np.empty((len(grid_idx), len(waves)), dtype=complex)
         for j, (k, gains) in enumerate(waves):

@@ -76,6 +76,12 @@ def _check_args(args) -> None:
     t = getattr(args, "threshold_db", None)
     if t is not None and not (math.isfinite(t) and t < 0.0):
         raise ConfigError(f"--threshold-db must be a negative real, got {t!r}")
+    given = [n for n in ("--a1", "--a2", "--phi-deg")
+             if getattr(args, n[2:].replace("-", "_"), None) is not None]
+    kind = getattr(args, "scheme", None) or getattr(args, "support", None)
+    if given == ["--phi-deg"] or (given and kind in ("rect", "hex", "disk")):
+        raise ConfigError(f"{', '.join(given)} would be ignored: ellipse flags need "
+                          f"an ellipse and --phi-deg needs --a1/--a2")
 
 
 def _load_scenario(args) -> ScatteringScenario:

@@ -209,19 +209,26 @@ def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
     return LatticePointSet(indices=n[order], positions=pos[order], q=q, region=region)
 
 
-def alias_free(s: SpectralSupport, q: SamplingMatrix, lmax: int = 3) -> bool:
+def alias_free(s: SpectralSupport, q: SamplingMatrix) -> bool:
     """Whether spectral replicas of the support do not overlap under Q sampling.
 
-    Checks every nonzero replica offset P @ l with ``|l|_inf <= lmax``,
-    mapped onto the support's base shape (``s.to_base``): the disk (and so
-    the ellipse) requires center separation ``>= 2*kappa``, the square
-    requires separation ``>= 2*kappa`` along an axis.  Tangent replicas
-    (zero-measure overlap) count as alias-free.
+    The basis of the replica lattice ``P = 2*pi*inv(Q.T)`` is mapped onto the
+    support's base shape (``s.to_base``) and Lagrange-Gauss-reduced there;
+    every nonzero replica offset must then be at least ``2*kappa`` long, in
+    the Euclidean norm for the disk (and so the ellipse), in the max norm for
+    the square.  In a reduced basis ``|l1 u + l2 v|^2 >= 3 |u|^2`` whenever
+    ``|l|_inf >= 2``, and the max norm is at least ``1/sqrt(2)`` of the
+    Euclidean one, so the shortest offset in either norm has ``|l|_inf <= 1``:
+    the check is exact in any basis.  Tangent replicas count as alias-free.
     """
-    p = periodicity_from_sampling(q).p
-    ls = np.array([(i, j) for i in range(-lmax, lmax + 1)
-                   for j in range(-lmax, lmax + 1) if (i, j) != (0, 0)])
-    offsets = ls @ p.T @ s.to_base.T
+    u, v = (s.to_base @ periodicity_from_sampling(q).p).T
+    while True:  # each pass that does not stop shortens u
+        v = v - round((u @ v) / (u @ u)) * u
+        if v @ v >= u @ u:
+            break
+        u, v = v, u
+    # the eight neighbours |l|_inf <= 1 are these four and their negatives
+    offsets = np.array([u, v, u + v, u - v])
     sep = 2.0 * s.kn.kappa * (1.0 - 1e-9)
     if s.kind == "rect":
         return bool(np.all(np.abs(offsets).max(axis=1) >= sep))

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _ACF_LEVELS = ((64, 128), (128, 256), (256, 512), (512, 1024))
+_ACF_TOL = 1e-6
 _NODE_CHUNK = 32768
 _ROW_CHUNK = 512
 
@@ -88,20 +89,20 @@ class NumericAcf(Acf):
     """Autocorrelation of an arbitrary scenario by hemisphere quadrature.
 
     Gauss-Legendre nodes over (theta, phi) are refined by doubling until two
-    successive levels agree within ``tol`` on the requested displacements;
-    values are normalized by the same-level value at zero displacement so
-    that ``c(0) = 1`` exactly.  ``eval_many`` sums each node's plane wave at
-    every displacement (``_plane_wave_sum``); ``eval_lattice`` factors each node's
-    phase at ``Q n`` as ``exp(i n1 b1) exp(i n2 b2)`` with ``b = Q.T k`` and
-    sums over the integer index box (``_lattice_wave_sum``), so it needs
-    exponentials only along the two axes of the box.  Both run the same
-    level sequence and convergence test.
+    successive levels agree within ``_ACF_TOL = 1e-6`` on the requested
+    displacements; values are normalized by the same-level value at zero
+    displacement so that ``c(0) = 1`` exactly.  ``eval_many`` sums each
+    node's plane wave at every displacement (``_plane_wave_sum``);
+    ``eval_lattice`` factors each node's phase at ``Q n`` as
+    ``exp(i n1 b1) exp(i n2 b2)`` with ``b = Q.T k`` and sums over the
+    integer index box (``_lattice_wave_sum``), so it needs exponentials only
+    along the two axes of the box.  Both run the same level sequence and
+    convergence test.
     """
 
-    def __init__(self, scenario: ScatteringScenario, tol: float = 1e-6):
+    def __init__(self, scenario: ScatteringScenario):
         self.scenario = scenario
         self.kn = scenario.kn
-        self.tol = tol
 
     def _level_nodes(self, nt: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
         u, w = hemisphere_rule(nt, nf)
@@ -113,7 +114,7 @@ class NumericAcf(Acf):
             cur = level_sum(*self._level_nodes(*nodes))
             return cur / cur[-1].real
 
-        return refine(_ACF_LEVELS, level, self.tol, "autocorrelation quadrature")[:-1]
+        return refine(_ACF_LEVELS, level, _ACF_TOL, "autocorrelation quadrature")[:-1]
 
     def eval_many(self, disp: np.ndarray) -> np.ndarray:
         disp = np.atleast_2d(np.asarray(disp, dtype=float))
@@ -128,9 +129,9 @@ class NumericAcf(Acf):
         return self._refine(lambda k, w: _lattice_wave_sum(q, ext, k, w))
 
 
-def acf_numeric(s: ScatteringScenario, r, tol: float = 1e-6) -> complex:
+def acf_numeric(s: ScatteringScenario, r) -> complex:
     """Autocorrelation of scenario ``s`` at displacement ``r`` by quadrature."""
-    return NumericAcf(s, tol=tol)(r)
+    return NumericAcf(s)(r)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from fieldsamp import (
     LatticePointSet,
     NumericAcf,
     Region,
+    SamplingMatrix,
     SpectralSupport,
     Wavenumber,
     acf_clarke,
@@ -45,6 +46,13 @@ from helpers import brute_force_disk_modes, broadside_cluster
 LAM = 1.0
 KN = Wavenumber.from_wavelength(LAM)
 ISO = ScatteringScenario.isotropic(KN)
+# lattices on which the disk kernel's replicas overlap: an ellipse lattice,
+# and a hex lattice 10% too coarse written in a sheared basis, whose
+# overlapping replica offsets have large indices in that basis
+ALIASING_FOR_DISK = [
+    nyquist_ellipse(KN, EllipseShape(a1=0.7, a2=0.4, phi=0.0)),
+    SamplingMatrix(1.1 * nyquist_hex(KN).q @ np.array([[1, 7], [7, 50]])),
+]
 
 
 class TestDof:
@@ -286,16 +294,12 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="lattice"):
             reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)])
 
-    def test_aliasing_pairing_rejected_unless_forced(self):
-        shape = EllipseShape(a1=0.7, a2=0.4, phi=0.0)
-        q = nyquist_ellipse(KN, shape)
-        pts = enumerate_lattice(q, Region(side=4.0 * LAM))
-        field = _plane_wave_field(pts, [0.0, 0.0])
-        with pytest.raises(ValueError, match="allow_mismatched"):
-            reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)])
-        out = reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)],
-                          allow_mismatched=True)
-        assert out.shape == (1,)
+    def test_aliasing_pairing_rejected(self):
+        for q in ALIASING_FOR_DISK:
+            pts = enumerate_lattice(q, Region(side=4.0 * LAM))
+            field = _plane_wave_field(pts, [0.0, 0.0])
+            with pytest.raises(ValueError, match="replicas overlap"):
+                reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)])
 
     def test_rotated_frame_equivariance(self):
         # reconstructing in a rotated ellipse frame must equal the unrotated
@@ -430,10 +434,11 @@ class TestMseExperiment:
     def test_mismatched_last_scheme_fails_before_drawing(self, monkeypatch):
         calls = []
         monkeypatch.setattr(analysis, "_draw_waves", lambda *args: calls.append(1))
-        q = nyquist_ellipse(KN, EllipseShape(a1=0.7, a2=0.4, phi=0.0))
-        schemes = [(nyquist_hex(KN), kernel_disk(KN)), (q, kernel_disk(KN))]
-        with pytest.raises(ValueError, match="allow_mismatched"):
-            mse_experiments(ISO, schemes, Region(side=2.0), n_realizations=2, n_waves=16)
+        for q in ALIASING_FOR_DISK:
+            schemes = [(nyquist_hex(KN), kernel_disk(KN)), (q, kernel_disk(KN))]
+            with pytest.raises(ValueError, match="replicas overlap"):
+                mse_experiments(ISO, schemes, Region(side=2.0), n_realizations=2,
+                                n_waves=16)
         assert not calls
 
     def test_builds_half_the_interpolation_matrix(self):
@@ -469,21 +474,15 @@ class TestMseExperiment:
         assert rep.normalized == pytest.approx(rep.average, rel=1e-12)
         assert rep.n_realizations == 5
         assert rep.n_samples == len(enumerate_lattice(q, region))
-        # default evaluation grid spans half the region at 8 points/lambda
+        # the evaluation grid spans half the region at 8 points/lambda
         assert rep.axis.max() == pytest.approx(0.5, abs=1e-12)
         assert rep.axis[1] - rep.axis[0] == pytest.approx(LAM / 8.0, rel=1e-12)
         assert rep.pointwise.shape == (len(rep.axis), len(rep.axis))
 
-    def test_eval_region_must_fit(self):
-        with pytest.raises(ValueError):
-            mse_experiment(ISO, nyquist_hex(KN), kernel_disk(KN),
-                           Region(side=2.0), eval_region=Region(side=3.0),
-                           n_realizations=2, n_waves=16)
-
-    def test_mismatched_pairing_rejected_unless_forced(self):
+    def test_mismatched_pairing_rejected(self):
         shape = EllipseShape(a1=0.7, a2=0.4, phi=0.0)
         q = nyquist_ellipse(KN, shape)
-        with pytest.raises(ValueError, match="allow_mismatched"):
+        with pytest.raises(ValueError, match="replicas overlap"):
             mse_experiment(ISO, q, kernel_disk(KN), Region(side=2.0),
                            n_realizations=2, n_waves=16)
 

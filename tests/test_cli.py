@@ -71,8 +71,16 @@ class TestUsage:
         # an ellipse narrower than the isotropic spectrum would alias it
         ["reconstruct", "--a1", "0.8", "--a2", "0.5", "--phi-deg", "37",
          "--L", "12", "--segment", "3"],
+        # ellipse flags the command would ignore; s.json is a two-cluster scenario
+        ["lattice", "--scheme", "ellipse", "--L", "4", "--scenario", "s.json",
+         "--phi-deg", "60"],
+        ["lattice", "--scheme", "hex", "--L", "4", "--a1", "0.5", "--a2", "0.4"],
+        ["eigs", "--scheme", "rect", "--L", "4", "--phi-deg", "30"],
+        ["dof", "--L", "4", "--support", "disk", "--a1", "0.5", "--a2", "0.4"],
+        ["dof", "--L", "4", "--support", "rect", "--phi-deg", "30"],
     ])
     def test_bad_flag_values_exit_two(self, args, tmp_path):
+        write_scenario(tmp_path / "s.json", two_cluster_json())
         res = run_cli(args, tmp_path)
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["kind"] == "config"

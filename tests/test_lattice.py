@@ -27,6 +27,8 @@ from helpers import brute_force_lattice_count
 LAM = 1.0
 KN = Wavenumber.from_wavelength(LAM)
 SQ3 = math.sqrt(3.0)
+# a unimodular shear: Q @ SHEAR generates the same lattice as Q
+SHEAR = np.array([[1, 7], [7, 50]])
 
 
 class TestNyquistMatrices:
@@ -180,6 +182,7 @@ class TestAliasFree:
         shape = EllipseShape(a1=0.7, a2=0.4, phi=1.2)
         assert alias_free(SpectralSupport.ellipse(KN, shape),
                           nyquist_ellipse(KN, shape))
+        assert alias_free(SpectralSupport.disk(KN), SamplingMatrix(nyquist_hex(KN).q @ SHEAR))
 
     def test_disk_on_rect_half_lambda(self):
         # the disk fits inside the square support replicated by the lambda/2 grid
@@ -187,6 +190,9 @@ class TestAliasFree:
 
     def test_sparser_lattice_aliases(self):
         q = SamplingMatrix(nyquist_hex(KN).q * 1.01)
+        assert not alias_free(SpectralSupport.disk(KN), q)
+        # the overlapping replicas have indices ±(1, 7), ±(6, 43) and ±(7, 50) here
+        q = SamplingMatrix(1.1 * nyquist_hex(KN).q @ SHEAR)
         assert not alias_free(SpectralSupport.disk(KN), q)
 
     def test_denser_lattice_stays_alias_free(self):
@@ -199,3 +205,37 @@ class TestAliasFree:
 
     def test_rect_support_on_hex_lattice_aliases(self):
         assert not alias_free(SpectralSupport.rect(KN), nyquist_hex(KN))
+
+    def test_matches_brute_force_on_sheared_bases(self):
+        # only the shortest replica offset decides the answer; for the shears
+        # below (entries of magnitude up to 4) its sheared indices are at most
+        # |1 + a b| + |b| <= 21, so searching |l|_inf <= 40 in the sheared
+        # basis itself is exhaustive
+        shape = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
+        supports = [SpectralSupport.disk(KN), SpectralSupport.rect(KN),
+                    SpectralSupport.ellipse(KN, shape)]
+        bases = [nyquist_rect(KN).q, nyquist_hex(KN).q, nyquist_ellipse(KN, shape).q]
+        axis = np.arange(-40, 41)
+        l1, l2 = np.meshgrid(axis, axis, indexing="ij")
+        ls = np.column_stack([l1.ravel(), l2.ravel()])
+        ls = ls[np.any(ls != 0, axis=1)]
+        rng = np.random.default_rng(2024)
+        answers = []
+        for trial in range(200):
+            a, b = rng.integers(-4, 5, size=2)
+            shear = np.array([[1, a], [0, 1]]) @ np.array([[1, 0], [b, 1]])
+            if rng.random() < 0.5:
+                shear = shear[:, ::-1]
+            scale = rng.choice([0.9, 0.97, 1.0, 1.03, 1.1])
+            q = SamplingMatrix(scale * bases[trial % 3] @ shear)
+            p = periodicity_from_sampling(q).p
+            for s in supports:
+                off = ls @ (s.to_base @ p).T
+                sep = 2.0 * KN.kappa * (1.0 - 1e-9)
+                if s.kind == "rect":
+                    brute = bool(np.all(np.abs(off).max(axis=1) >= sep))
+                else:
+                    brute = bool(np.all(np.hypot(off[:, 0], off[:, 1]) >= sep))
+                assert alias_free(s, q) == brute, (trial, s.kind)
+                answers.append(brute)
+        assert 0 < sum(answers) < len(answers)
