@@ -17,6 +17,7 @@ from .geometry import (
     wavevector_from_angles,
 )
 from .lattice import (
+    MIRRORS,
     LatticePointSet,
     PeriodicityMatrix,
     SamplingMatrix,
@@ -24,6 +25,7 @@ from .lattice import (
     density,
     efficiency_gain,
     enumerate_lattice,
+    mirror_permutations,
     nyquist_density,
     nyquist_ellipse,
     nyquist_hex,

@@ -17,7 +17,14 @@ import numpy as np
 
 from .geometry import Region, SpectralSupport, TWO_PI, support_measure
 from .kernels import Kernel
-from .lattice import LatticePointSet, SamplingMatrix, alias_free, enumerate_lattice
+from .lattice import (
+    MIRRORS,
+    LatticePointSet,
+    SamplingMatrix,
+    alias_free,
+    enumerate_lattice,
+    mirror_permutations,
+)
 from .scattering import ScatteringScenario
 from .statfield import Acf, FieldRealization, _draw_waves, _lattice_wave_sum
 
@@ -322,14 +329,30 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     execution: the BLAS library already runs the matrix products on every
     core it uses.
 
-    The grid and the samples are symmetric through the origin (grid row
-    ``G-1-r`` is at ``-grid[r]``, sample row ``N-1-n`` at ``-r_n``), and the
-    kernel is even, so the interpolation matrix's bottom rows are its top
-    rows with the samples reversed.  Only the ``(G+1)//2`` rows up to the
-    grid centre are built; each block's product with the samples and the
-    reversed samples gives the whole reconstruction.  The centre row is
-    checked to equal its own reverse within 1e-12, so a kernel that is not
-    even raises ``ValueError``.
+    The interpolation matrix is never built whole; each scheme's lattice
+    structure decides how much of it is evaluated:
+
+    - A rect support on a diagonal ``Q`` whose points fill their index box
+      (``rect_matched``, ``rect_half_lambda``) reconstructs each block by
+      two small products with the kernel's 1-D factors,
+      ``f(x, 0)`` and ``f(0, y) / f(0, 0)`` between the grid axis and the
+      sample axis; no 2-D row is built.
+    - Otherwise the grid and the samples are symmetric through the origin,
+      and through each axis flip the lattice has (``mirror_permutations``).
+      A mirror that also maps the kernel's support onto itself leaves the
+      kernel unchanged, so the row at a mirrored grid point is the row at
+      the point with the samples permuted.  With both axis flips (hex, an
+      unrotated ellipse) only the grid quadrant ``x, y <= 0`` is built,
+      about a quarter of the rows; otherwise (a rotated ellipse, a sheared
+      ``Q``) the ``(G+1)//2`` rows up to the grid centre.  One product per
+      block against the samples and their permutations gives the whole
+      grid.
+
+    Summation orders differ between these builds, so figures agree with a
+    dense build to round-off, not bit for bit.  Every build checks its
+    centre row (for the 1-D factors, the rows at the grid centre) against
+    each mirror it uses within 1e-12, so a kernel that is not even, or not
+    invariant under a flip of its support, raises ``ValueError``.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
@@ -346,8 +369,7 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     gx, gy = np.meshgrid(grid_axis, grid_axis, indexing="ij")
     grid_idx = np.column_stack([gx.ravel(), gy.ravel()])
     grid_q = step * np.eye(2)
-    # rows up to the grid centre; the rest mirror them (see the docstring)
-    query = grid_idx[:(len(grid_idx) + 1) // 2] * step
+    axis = grid_axis * step
 
     root_m = math.sqrt(n_waves)
     totals = [np.zeros(len(grid_idx)) for _ in schemes]
@@ -359,9 +381,8 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
         for j, (k, gains) in enumerate(waves):
             truth[:, j] = _lattice_wave_sum(grid_q, grid_idx, k, gains) / root_m
         for (q, kern), pts, total in zip(schemes, lattices, totals):
-            _add_squared_errors(total, q, kern, pts, query, waves, truth, root_m)
+            _add_squared_errors(total, q, kern, pts, axis, waves, truth, root_m)
 
-    axis = grid_axis * step
     reports = []
     for pts, total in zip(lattices, totals):
         pointwise = (total / n_realizations).reshape(len(axis), len(axis))
@@ -378,19 +399,20 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
 
 
 def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
-                        pts: LatticePointSet, query: np.ndarray, waves: list,
+                        pts: LatticePointSet, axis: np.ndarray, waves: list,
                         truth: np.ndarray, root_m: float) -> None:
     """Add one group's squared reconstruction errors of one scheme into ``total``.
 
-    ``query`` holds the grid rows up to the centre, ``waves`` the group's
-    draws and ``truth`` their fields on the whole grid, one column each.
+    ``axis`` holds the grid's coordinates along x and along y, ``waves`` the
+    group's draws and ``truth`` their fields on the whole grid, one column
+    each.
     """
-    n_grid, top = len(truth), len(query)
-    f = _interp_matrix(kern, query, pts.positions)
-    centre = f[top - 1]
-    if np.abs(centre - centre[::-1]).max() > 1e-12:
-        raise ValueError("kernel must be even: f(-r) and f(r) differ by more than "
-                         "1e-12 at the sample positions")
+    box = np.ptp(pts.indices, axis=0) + 1
+    diagonal = q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0
+    if kern.support.kind == "rect" and diagonal and len(pts) == box.prod():
+        recon = _separable_reconstruction(kern, pts, axis, box)
+    else:
+        recon = _mirrored_reconstruction(kern, pts, axis)
     n_s = len(pts)
     for b0 in range(0, len(waves), _MSE_BLOCK):
         width = min(_MSE_BLOCK, len(waves) - b0)
@@ -399,8 +421,89 @@ def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
             es = _lattice_wave_sum(q.q, pts.indices, k, gains) / root_m
             stacked[:, j] = es.real
             stacked[:, width + j] = es.imag
-        both = f @ np.hstack([stacked, stacked[::-1]])
-        recon = np.vstack([both[:, :2 * width], both[:n_grid - top, 2 * width:][::-1]])
+        both = recon(stacked)
         block = truth[:, b0:b0 + width]
-        total += ((block.real - recon[:, :width]) ** 2
-                  + (block.imag - recon[:, width:]) ** 2).sum(axis=1)
+        total += ((block.real - both[:, :width]) ** 2
+                  + (block.imag - both[:, width:]) ** 2).sum(axis=1)
+
+
+def _check_centre_row(row: np.ndarray, perm: np.ndarray, what: str) -> None:
+    if np.abs(row - row[perm]).max() > 1e-12:
+        raise ValueError(f"kernel must be {what}: its values differ by more than 1e-12 "
+                         f"at mirrored sample positions")
+
+
+def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, box):
+    """Grid reconstruction by a rect kernel's 1-D factors on a full index box.
+
+    Rows run over ``n1`` within ``n2`` (``enumerate_lattice``), so the
+    samples form an ``n2 x n1`` box, and the kernel factors as
+    ``f(x, y) = f(x, 0) f(0, y) / f(0, 0)``.
+    """
+    pos = pts.positions.reshape(box[1], box[0], 2)
+
+    def table(dim, coords):
+        disp = np.zeros((len(axis), len(coords), 2))
+        disp[..., dim] = axis[:, None] - coords
+        return kern(disp)
+
+    fx = table(0, pos[0, :, 0])
+    fy = table(1, pos[:, 0, 1]) / kern.peak
+    centre = len(axis) // 2
+    for f in (fx, fy):
+        _check_centre_row(f[centre], np.s_[::-1], "even")
+
+    def recon(stacked):
+        e = stacked.reshape(box[1], box[0], -1)
+        # (x, n2, column), then (x, y, column): rows in the grid's order
+        return (fy @ np.tensordot(fx, e, axes=(1, 1))).reshape(len(axis) ** 2, -1)
+
+    return recon
+
+
+def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray):
+    """Grid reconstruction from the interpolation rows left by the mirrors.
+
+    A mirror ``F`` of the point set (``mirror_permutations``) that also maps
+    the kernel's support onto itself leaves the kernel unchanged, and the
+    grid is mirror-symmetric too, so the row at grid point ``F g`` is the row
+    at ``g`` with the samples permuted.  With both axis flips only the
+    quadrant ``x, y <= 0`` is built, otherwise (a rotated ellipse, a sheared
+    ``Q``) the rows up to the grid centre; one product against the samples
+    and their permutations gives the whole grid.
+    """
+    perms = mirror_permutations(pts)
+    base = kern.support.to_base
+
+    def keeps_support(flip):  # F maps the support onto itself iff this is orthogonal
+        m = base @ flip @ np.linalg.inv(base)
+        return np.abs(m @ m.T - np.eye(2)).max() < 1e-12
+
+    size = len(axis)
+    h = size // 2
+    if all(name in perms and keeps_support(MIRRORS[name]) for name in ("x", "y")):
+        ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
+        names = ["rev", "x", "y"]
+    else:
+        ii, jj = np.divmod(np.arange((size * size + 1) // 2), size)
+        names = ["rev"]
+    f = _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
+    for name in names:  # the last row built is the grid centre
+        _check_centre_row(f[-1], perms[name], "even" if name == "rev"
+                          else f"invariant under the {name} flip of its support")
+    order = [np.arange(len(pts))] + [perms[name] for name in names]
+    dests = [ii * size + jj]
+    for name in names:
+        sx, sy = np.diag(MIRRORS[name]).astype(int)
+        dests.append((h + sx * (ii - h)) * size + h + sy * (jj - h))
+
+    def recon(stacked):
+        cols = stacked.shape[1]
+        both = f @ np.hstack([stacked[p] for p in order])
+        out = np.empty((size * size, cols))
+        # the identity goes last, so it decides the rows a mirror maps onto themselves
+        for k in reversed(range(len(dests))):
+            out[dests[k]] = both[:, k * cols:(k + 1) * cols]
+        return out
+
+    return recon

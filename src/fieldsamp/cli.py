@@ -32,6 +32,7 @@ from .analysis import (
 from .geometry import EllipseShape, Region, SpectralSupport, Wavenumber
 from .kernels import kernel_disk, kernel_ellipse, kernel_rect
 from .lattice import (
+    _ALIAS_RTOL,
     density,
     efficiency_gain,
     enumerate_lattice,
@@ -122,8 +123,7 @@ def _covering_shape(args, scenario: ScatteringScenario) -> EllipseShape:
     if args.a1 is not None:
         pts, _ = _threshold_mask(scenario, args.threshold_db, on_psd=False)
         base = pts @ shape.inverse_shape_matrix.T
-        # the boundary tolerance of lattice.alias_free
-        if np.hypot(base[:, 0], base[:, 1]).max() > scenario.kn.kappa * (1.0 + 1e-9):
+        if np.hypot(base[:, 0], base[:, 1]).max() > scenario.kn.kappa * (1.0 + _ALIAS_RTOL):
             raise ConfigError(f"the --a1/--a2 ellipse misses wavevectors within "
                               f"{args.threshold_db:g} dB of the spectrum's peak")
     return shape

@@ -168,7 +168,11 @@ class Kernel:
     Calling the kernel with displacements of shape (..., 2) returns the
     kernel value at each displacement.  ``peak`` is the value at the origin.
     Every support is centrally symmetric, so its kernel is even,
-    ``f(-r) = f(r)``; ``mse_experiment`` relies on this and checks it.
+    ``f(-r) = f(r)``; a support that an axis flip maps onto itself makes
+    the kernel invariant under that flip too.  A ``"rect"`` support is
+    taken to give a separable kernel, ``f(x, y) = f(x, 0) f(0, y) / peak``.
+    ``mse_experiment`` relies on all three; it checks evenness and flip
+    invariance at the sample positions, but not separability.
     """
 
     support: SpectralSupport
@@ -240,6 +244,7 @@ def kernel_ellipse(kn: Wavenumber, shape: EllipseShape) -> Kernel:
 
 
 _ORACLE_LEVELS = (16, 32, 64, 128, 256, 512)
+_ORACLE_TOL = 1e-8
 
 
 def _oracle_integral_rect(kap: float, x: float, y: float, n: int) -> complex:
@@ -262,12 +267,12 @@ def _oracle_integral_radial(s: SpectralSupport, x: float, y: float, n: int) -> c
     return complex(wpsi @ ray)
 
 
-def kernel_oracle(s: SpectralSupport, q, r, tol: float = 1e-8) -> float:
+def kernel_oracle(s: SpectralSupport, q, r) -> float:
     """Kernel value from direct numerical quadrature of the defining integral.
 
     Evaluates ``|det Q|/(2*pi)^2 * integral_S exp(i k . r) dk`` at the
     lab-frame displacement ``r`` with Gauss-Legendre rules refined by
-    doubling until two successive levels agree within ``tol``, so it equals
+    doubling until two successive levels agree within 1e-8, so it equals
     ``kern(r)`` for the closed-form kernel of any support.  The square
     support integrates separably in Cartesian coordinates; disk and ellipse
     supports integrate in polar coordinates with the radial limit resolved
@@ -290,4 +295,4 @@ def kernel_oracle(s: SpectralSupport, q, r, tol: float = 1e-8) -> float:
             return norm * _oracle_integral_rect(s.kn.kappa, x, y, n)
         return norm * _oracle_integral_radial(s, x, y, n)
 
-    return float(refine(_ORACLE_LEVELS, level, tol, "kernel quadrature").real)
+    return float(refine(_ORACLE_LEVELS, level, _ORACLE_TOL, "kernel quadrature").real)

@@ -37,10 +37,16 @@ __all__ = [
     "density",
     "efficiency_gain",
     "enumerate_lattice",
+    "MIRRORS",
+    "mirror_permutations",
     "alias_free",
 ]
 
 _BOUNDARY_RTOL = 1e-12
+# relative slack of the alias boundary: replicas whose separation falls short
+# of 2*kappa by this share still count as tangent, so a support may reach
+# this share past its kappa
+_ALIAS_RTOL = 1e-9
 
 
 def _validated_2x2(m, name: str) -> np.ndarray:
@@ -209,6 +215,47 @@ def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
     return LatticePointSet(indices=n[order], positions=pos[order], q=q, region=region)
 
 
+MIRRORS = {
+    "rev": -np.eye(2),
+    "x": np.diag([-1.0, 1.0]),
+    "y": np.diag([1.0, -1.0]),
+}
+
+
+def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
+    """Row permutations of a point set under the mirrors that keep it whole.
+
+    For each mirror ``F`` of ``MIRRORS`` -- the point reflection ``"rev"``
+    (``r -> -r``) and the axis flips ``"x"`` (``x -> -x``) and ``"y"``
+    (``y -> -y``) -- that maps the point set onto itself, ``perm[name]``
+    satisfies ``positions[perm[name]] == positions @ F.T`` row for row, up to
+    round-off.  ``F`` maps the lattice onto itself iff ``inv(Q) @ F @ Q`` is
+    an integer matrix, which then maps the indices.  The point reflection
+    always holds, and for a set from ``enumerate_lattice`` its permutation
+    is ``N-1-i``.  Rect and hex lattices also have both flips; a rotated
+    ellipse lattice or a generic sheared ``Q`` has neither, and a flip whose
+    image leaves the set (a boundary point decided by round-off) is not
+    reported.  The rows must be ordered by ``(n2, n1)``.
+    """
+    idx = points.indices.astype(np.int64)
+    lo = idx.min(axis=0)
+    width = idx[:, 0].max() - lo[0] + 1
+    code = (idx[:, 1] - lo[1]) * width + idx[:, 0] - lo[0]  # increasing in row order
+    q = points.q.q
+    perms = {}
+    for name, flip in MIRRORS.items():
+        m = np.linalg.solve(q, flip @ q)
+        mi = np.round(m)
+        if np.abs(m - mi).max() > 1e-9:
+            continue
+        img = idx @ mi.astype(np.int64).T
+        img_code = (img[:, 1] - lo[1]) * width + img[:, 0] - lo[0]
+        perm = np.minimum(np.searchsorted(code, img_code), len(code) - 1)
+        if np.array_equal(idx[perm], img):
+            perms[name] = perm
+    return perms
+
+
 def alias_free(s: SpectralSupport, q: SamplingMatrix) -> bool:
     """Whether spectral replicas of the support do not overlap under Q sampling.
 
@@ -229,7 +276,7 @@ def alias_free(s: SpectralSupport, q: SamplingMatrix) -> bool:
         u, v = v, u
     # the eight neighbours |l|_inf <= 1 are these four and their negatives
     offsets = np.array([u, v, u + v, u - v])
-    sep = 2.0 * s.kn.kappa * (1.0 - 1e-9)
+    sep = 2.0 * s.kn.kappa * (1.0 - _ALIAS_RTOL)
     if s.kind == "rect":
         return bool(np.all(np.abs(offsets).max(axis=1) >= sep))
     return bool(np.all(np.hypot(offsets[:, 0], offsets[:, 1]) >= sep))

@@ -40,7 +40,7 @@ from fieldsamp import (
 from fieldsamp import analysis
 from fieldsamp.analysis import AutocorrMatrix, _interp_matrix
 from fieldsamp.scattering import ScatteringScenario
-from fieldsamp.statfield import _draw_waves, _plane_wave_sum
+from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster
 
 LAM = 1.0
@@ -53,6 +53,51 @@ ALIASING_FOR_DISK = [
     nyquist_ellipse(KN, EllipseShape(a1=0.7, a2=0.4, phi=0.0)),
     SamplingMatrix(1.1 * nyquist_hex(KN).q @ np.array([[1, 7], [7, 50]])),
 ]
+ELLIPSE = EllipseShape(a1=0.8, a2=0.5, phi=0.0)
+ROTATED = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
+# a denser hex lattice under a random real shear: alias-free for the disk,
+# with the point reflection as its only mirror
+SHEARED = SamplingMatrix(0.8 * nyquist_hex(KN).q
+                         @ (np.eye(2) + 0.3 * np.random.default_rng(0).standard_normal((2, 2))))
+# each scheme with the interpolation build it takes in mse_experiments
+STRUCTURED = [
+    pytest.param(nyquist_rect(KN), kernel_rect(KN), "separable", id="rect_half_lambda"),
+    pytest.param(nyquist_rect(Wavenumber.from_wavelength(LAM / 0.8)),
+                 kernel_rect(KN, scale=0.8), "separable", id="rect_matched"),
+    pytest.param(nyquist_hex(KN), kernel_disk(KN), "quadrant", id="hex"),
+    pytest.param(nyquist_ellipse(KN, ELLIPSE), kernel_ellipse(KN, ELLIPSE), "quadrant",
+                 id="ellipse"),
+    pytest.param(nyquist_ellipse(KN, ROTATED), kernel_ellipse(KN, ROTATED), "half",
+                 id="rotated-ellipse"),
+    pytest.param(SHEARED, kernel_disk(KN), "half", id="sheared"),
+    # hex has both flips, but the rotated ellipse support has neither
+    pytest.param(nyquist_hex(KN), kernel_ellipse(KN, ROTATED), "half",
+                 id="rotated-ellipse-on-hex"),
+]
+
+
+def _dense_half_squared_errors(total, q, kern, pts, axis, waves, truth, root_m):
+    """Oracle for ``analysis._add_squared_errors``: the dense half-row build.
+
+    The kernel is evaluated on every grid row up to the centre, whatever the
+    scheme; the other rows are the same product against the reversed samples.
+    """
+    n_grid = len(truth)
+    top = (n_grid + 1) // 2
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    f = _interp_matrix(kern, np.column_stack([gx.ravel(), gy.ravel()])[:top], pts.positions)
+    for b0 in range(0, len(waves), analysis._MSE_BLOCK):
+        width = min(analysis._MSE_BLOCK, len(waves) - b0)
+        stacked = np.empty((len(pts), 2 * width))
+        for j, (k, gains) in enumerate(waves[b0:b0 + width]):
+            es = _lattice_wave_sum(q.q, pts.indices, k, gains) / root_m
+            stacked[:, j] = es.real
+            stacked[:, width + j] = es.imag
+        both = f @ np.hstack([stacked, stacked[::-1]])
+        recon = np.vstack([both[:, :2 * width], both[:n_grid - top, 2 * width:][::-1]])
+        block = truth[:, b0:b0 + width]
+        total += ((block.real - recon[:, :width]) ** 2
+                  + (block.imag - recon[:, width:]) ** 2).sum(axis=1)
 
 
 class TestDof:
@@ -441,21 +486,46 @@ class TestMseExperiment:
                                 n_waves=16)
         assert not calls
 
-    def test_builds_half_the_interpolation_matrix(self):
-        # grid and samples mirror through the origin, so one cell evaluates
-        # the kernel on the grid rows up to the centre only
-        kern = kernel_disk(KN)
+    @pytest.mark.parametrize("q, kern, path", STRUCTURED)
+    def test_structured_build_matches_dense_half_rows(self, monkeypatch, q, kern, path):
+        s, region = broadside_cluster(40.0), Region(side=3.0 * LAM)
+        kwargs = dict(n_realizations=37, seed=17, n_waves=48)
+        # 32 gives two groups, the second a partial block
+        for group in (analysis._MSE_GROUP, 32):
+            monkeypatch.setattr(analysis, "_MSE_GROUP", group)
+            got = mse_experiment(s, q, kern, region, **kwargs).pointwise
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_add_squared_errors", _dense_half_squared_errors)
+                ref = mse_experiment(s, q, kern, region, **kwargs).pointwise
+            if path == "half":
+                assert np.array_equal(got, ref)
+                continue
+            # where a grid point is a sample the sinc kernel reproduces it, and
+            # both MSEs are round-off that only compares in size
+            exact = ref < 1e-24
+            assert np.all(got[exact] < 1e-24)
+            np.testing.assert_allclose(got[~exact], ref[~exact], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("q, kern, path", STRUCTURED)
+    def test_kernel_work_follows_lattice_structure(self, q, kern, path):
+        # rect kernels on a full index box need their two 1-D factor tables;
+        # with both axis flips the grid quadrant x, y <= 0; else half the grid
         evaluated = []
 
         def counting(r):
             evaluated.append(r.size // 2)
             return kern.fn(r)
 
-        q, region = nyquist_hex(KN), Region(side=3.0 * LAM)
+        region = Region(side=3.0 * LAM)
         rep = mse_experiment(ISO, q, Kernel(kern.support, kern.peak, fn=counting),
                              region, n_realizations=3, seed=5, n_waves=32)
-        n_grid = len(rep.axis) ** 2
-        assert sum(evaluated) == (n_grid + 1) // 2 * len(enumerate_lattice(q, region))
+        pts = enumerate_lattice(q, region)
+        size = len(rep.axis)
+        rows = {"quadrant": (size // 2 + 1) ** 2, "half": (size * size + 1) // 2}
+        if path == "separable":
+            assert sum(evaluated) == size * (np.ptp(pts.indices, axis=0) + 1).sum()
+        else:
+            assert sum(evaluated) == rows[path] * len(pts)
 
     def test_odd_kernel_rejected(self):
         kern = kernel_disk(KN)
@@ -463,6 +533,24 @@ class TestMseExperiment:
                          fn=lambda r: kern.fn(r - np.array([0.1 * LAM, 0.0])))
         with pytest.raises(ValueError, match="kernel must be even"):
             mse_experiment(ISO, nyquist_hex(KN), shifted, Region(side=2.0 * LAM),
+                           n_realizations=2, n_waves=16)
+
+    def test_odd_rect_factor_rejected(self):
+        # the separable build checks evenness on its 1-D factor tables
+        kern = kernel_rect(KN)
+        shifted = Kernel(kern.support, kern.peak,
+                         fn=lambda r: kern.fn(r - np.array([0.0, 0.1 * LAM])))
+        with pytest.raises(ValueError, match="kernel must be even"):
+            mse_experiment(ISO, nyquist_rect(KN), shifted, Region(side=2.0 * LAM),
+                           n_realizations=2, n_waves=16)
+
+    def test_flip_asymmetric_kernel_rejected(self):
+        # even, but sheared: it disagrees with the disk support's axis flips
+        kern = kernel_disk(KN)
+        shear = np.array([[1.0, 0.0], [0.3, 1.0]])
+        sheared = Kernel(kern.support, kern.peak, fn=lambda r: kern.fn(r @ shear))
+        with pytest.raises(ValueError, match="invariant under the x flip"):
+            mse_experiment(ISO, nyquist_hex(KN), sheared, Region(side=2.0 * LAM),
                            n_realizations=2, n_waves=16)
 
     def test_report_consistency(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fieldsamp import (
+    MIRRORS,
     EllipseShape,
     Region,
     SamplingMatrix,
@@ -15,6 +16,7 @@ from fieldsamp import (
     density,
     efficiency_gain,
     enumerate_lattice,
+    mirror_permutations,
     nyquist_density,
     nyquist_ellipse,
     nyquist_hex,
@@ -173,6 +175,29 @@ class TestEnumerate:
         assert np.array_equal(a.indices, b.indices)
         order = np.lexsort((a.indices[:, 0], a.indices[:, 1]))
         assert np.array_equal(order, np.arange(len(a)))
+
+
+class TestMirrorPermutations:
+    @pytest.mark.parametrize("q, flips", [
+        (nyquist_rect(KN), True),
+        (nyquist_hex(KN), True),
+        # the same hex lattice in another basis keeps its flips
+        (SamplingMatrix(nyquist_hex(KN).q @ SHEAR), True),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.0)), True),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)), False),
+        (SamplingMatrix(np.diag([0.5, 0.4])
+                        + np.random.default_rng(3).normal(scale=0.2, size=(2, 2))), False),
+    ], ids=["rect", "hex", "hex-sheared-basis", "ellipse", "rotated-ellipse", "random-sheared"])
+    def test_rows_map_onto_mirrored_points(self, q, flips):
+        # side 7 puts rect points on the window's boundary
+        pts = enumerate_lattice(q, Region(side=7.0 * LAM))
+        perms = mirror_permutations(pts)
+        assert sorted(perms) == (["rev", "x", "y"] if flips else ["rev"])
+        assert np.array_equal(perms["rev"], np.arange(len(pts))[::-1])
+        for name, perm in perms.items():
+            assert np.array_equal(np.sort(perm), np.arange(len(pts)))
+            np.testing.assert_allclose(pts.positions[perm], pts.positions @ MIRRORS[name].T,
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestAliasFree:

@@ -17,6 +17,7 @@ from fieldsamp import (
     support_at_threshold,
 )
 from fieldsamp._quad import hemisphere_rule
+from fieldsamp.lattice import _ALIAS_RTOL
 from fieldsamp.scattering import _hemisphere_exp_integral, _threshold_mask
 from helpers import broadside_cluster, two_cluster_scenario
 
@@ -226,8 +227,7 @@ class TestSupportFit:
         assert shape.a1 == 1.0
         pts, _ = _threshold_mask(s, threshold, on_psd=False)
         base = pts @ shape.inverse_shape_matrix.T
-        # the boundary slack of lattice.alias_free
-        assert np.hypot(base[:, 0], base[:, 1]).max() <= KN.kappa * (1.0 + 1e-9)
+        assert np.hypot(base[:, 0], base[:, 1]).max() <= KN.kappa * (1.0 + _ALIAS_RTOL)
 
     @pytest.mark.parametrize("threshold", [0.0, 3.0, math.nan, math.inf])
     def test_threshold_must_be_negative(self, threshold):
