@@ -21,6 +21,7 @@ from .lattice import (
     MIRRORS,
     LatticePointSet,
     SamplingMatrix,
+    _index_mirror,
     alias_free,
     enumerate_lattice,
     mirror_permutations,
@@ -103,56 +104,96 @@ def count_wavenumber_modes(s: SpectralSupport, region: Region) -> int:
 
 @dataclass(frozen=True)
 class AutocorrMatrix:
-    """Autocorrelation of the field across a lattice point set.
+    """Autocorrelation of the field across a lattice point set, as mirror blocks.
 
-    ``entries[i, j] = c(r_i - r_j)``; Hermitian with a unit diagonal and, up
-    to round-off, positive semidefinite.  ``build_autocorr_matrix`` evaluates
-    the ACF once per +/- pair of index differences and returns a real
-    symmetric ``float64`` matrix when the ACF's values are real, complex
-    otherwise.
+    The full matrix ``entries[i, j] = c(r_i - r_j)`` is Hermitian with a
+    unit diagonal and, up to round-off, positive semidefinite.  It is kept
+    as ``table``, the ACF's values over the box of index differences
+    (``_difference_box``), and as ``blocks``, real symmetric (or, with no
+    mirror at all and a complex ACF, complex Hermitian) matrices whose
+    direct sum is unitarily similar to it: the eigenvalues of all blocks
+    together are those of the full matrix.  ``build_autocorr_matrix`` explains how
+    the blocks arise.  ``entries`` gathers the full matrix from the table on
+    demand; nothing on the eigensolve path builds it.
+
+    Checks: the block orders sum to the number of points, each block is
+    Hermitian within 1e-12, and the table's value at zero difference, which
+    is every diagonal entry of the full matrix, is 1 within 1e-9.
     """
 
-    entries: np.ndarray
     points: LatticePointSet
     acf: Acf
+    table: np.ndarray
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.entries)
-        n = len(self.points)
-        if c.shape != (n, n):
-            raise ValueError(f"entries must be {n}x{n} to match the point set")
-        if np.abs(c - c.conj().T).max() > 1e-12:
-            raise ValueError("autocorrelation matrix must be Hermitian within 1e-12")
-        if np.abs(np.diagonal(c) - 1.0).max() > 1e-9:
+        if sum(len(b) for b in self.blocks) != len(self.points):
+            raise ValueError(f"block orders must sum to the {len(self.points)} points")
+        for b in self.blocks:
+            step = max(1, _GATHER_ELEMS // max(1, len(b)))
+            for r0 in range(0, len(b), step):  # row chunks keep the temporaries small
+                if np.abs(b[r0:r0 + step] - b[:, r0:r0 + step].conj().T).max() > 1e-12:
+                    raise ValueError("autocorrelation matrix must be Hermitian within 1e-12")
+        if abs(self.table[(len(self.table) - 1) // 2] - 1.0) > 1e-9:
             raise ValueError("autocorrelation diagonal must be 1 within 1e-9")
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The full ``N x N`` matrix, gathered from the table (for checks)."""
+        code, _ = _difference_box(self.points)
+        return self.table[code[:, None] - code[None, :] + (len(self.table) - 1) // 2]
+
+
+_GATHER_ELEMS = 1 << 16  # elements per row chunk of a block gather or check
+
+
+def _difference_box(points: LatticePointSet):
+    """Each point's code in the box of index differences, and the box's shape.
+
+    Index differences ``d`` lie in the box ``|d| <= span`` of the index
+    extent, of shape ``2 * span + 1``, stored row-major, so
+    ``code_i - code_j + (size - 1) // 2`` is the position of ``n_i - n_j``.
+    """
+    idx = points.indices.astype(np.int64)
+    shape = 2 * np.ptp(idx, axis=0) + 1
+    return idx[:, 0] * shape[1] + idx[:, 1], shape
 
 
 def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
-    """Autocorrelation matrix over all pairs of lattice points.
+    """Autocorrelation matrix over all pairs of lattice points, as mirror blocks.
 
-    Index differences of the point set lie in the box ``|d| <= span`` of its
-    index extent, so each pair gets an integer key into that box.  The ACF is
-    evaluated once, on the present differences in the upper half of the box
-    (``d`` lexicographically at least 0), so each +/- pair costs one
-    evaluation; the mirrored half follows from ``c(-r) = conj c(r)``.  One
-    gather of the key table builds the matrix, Hermitian by construction.
+    The ACF is evaluated once, on the index differences present in the
+    point set that lie in the upper half of their box (``d``
+    lexicographically at least 0), so each +/- pair costs one evaluation;
+    the mirrored half of the box follows from ``c(-r) = conj c(r)``.  The
+    present differences are found by an FFT autocorrelation of the point
+    set's indicator over its index box, without forming the ``N^2`` pairs.
     The differences reach the ACF as integer indices through
     ``acf.eval_lattice(Q, d)``, so a quadrature ACF can factor its phases
     over the box (``NumericAcf``); other ACFs see the displacements ``Q d``.
     When every evaluated value is real (as for the isotropic sinc ACF) the
-    matrix is real symmetric ``float64``.
+    table is real ``float64``.
+
+    The matrix is never built whole.  Its mirror group ``G`` is made of the
+    point reflection and the axis flips that map the point set onto itself
+    (``mirror_permutations``) and, for a real table, leave every evaluated
+    value unchanged within 1e-12.  Each character ``chi`` of ``G`` (a sign
+    per mirror) gives one real symmetric block over the orbit
+    representatives ``o`` whose stabiliser ``chi`` keeps, gathered straight
+    from the table:
+    ``B[o, o'] = sum_g chi(g) c(r_o - g r_o') / sqrt(s_o s_o')``, where
+    ``s`` is the stabiliser's size.  Rect and hex lattices under the sinc
+    ACF give four blocks of about ``N/4``; a rotated ellipse or a sheared
+    ``Q`` gives two of about ``N/2``.  A complex table is conjugated by the
+    point reflection, so the reflection's two blocks combine into the real
+    symmetric matrix ``[[Re B+, -Im X], [-Im X.T, Re B-]]`` of order ``N``,
+    with ``X`` the gather of the ``B-`` sum over rows of ``B+``.  A set
+    without any mirror keeps the full matrix as its one block.
     """
-    idx = points.indices.astype(np.int64)
-    span = np.ptp(idx, axis=0)
-    width = 2 * span[1] + 1
-    size = (2 * span[0] + 1) * width
-    centre = (size - 1) // 2
-    code = idx[:, 0] * width + idx[:, 1]
-    key = code[:, None] - code[None, :] + centre
-    present = np.zeros(size, dtype=bool)
-    present[key] = True
-    half = np.flatnonzero(present[centre:]) + centre
-    diffs = np.column_stack([half // width - span[0], half % width - span[1]])
+    code, shape = _difference_box(points)
+    size = shape.prod()
+    half = _present_differences(points, shape)
+    diffs = np.column_stack(np.divmod(half, shape[1])) - shape // 2
     vals = np.asarray(acf.eval_lattice(points.q.q, diffs))
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -163,7 +204,100 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     table = np.zeros(size, dtype=vals.dtype)
     table[size - 1 - half] = vals.conj()
     table[half] = vals
-    return AutocorrMatrix(entries=table[key], points=points, acf=acf)
+    return AutocorrMatrix(points=points, acf=acf, table=table,
+                          blocks=_mirror_blocks(points, table, code, shape, diffs))
+
+
+def _mirror_blocks(points: LatticePointSet, table: np.ndarray, code: np.ndarray,
+                   shape: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks of ``build_autocorr_matrix``, gathered from the difference table.
+
+    ``code`` and ``shape`` place the points in the table's box
+    (``_difference_box``); ``diffs`` are the differences the ACF was
+    evaluated on, over which a flip must keep a real table.
+    """
+    centre = (table.size - 1) // 2
+
+    def box(d):
+        return d[:, 0] * shape[1] + d[:, 1] + centre
+
+    def keeps_table(name):
+        img = diffs @ _index_mirror(points.q, MIRRORS[name]).T
+        return np.abs(table[box(img)] - table[box(diffs)]).max() <= 1e-12
+
+    perms = mirror_permutations(points)
+    real = not np.iscomplexobj(table)
+    if real:
+        names = [name for name in ("rev", "x", "y") if name in perms and keeps_table(name)]
+    else:  # r -> -r conjugates a complex table; it gives the real form below
+        names = ["rev"] if "rev" in perms else []
+    group = np.stack([np.arange(len(points))] + [perms[name] for name in names])
+    signs = [np.diag(MIRRORS[name]) for name in names]
+    # the characters of G are those of {I, -I, Fx, Fy}, restricted to G
+    chars = sorted({(1,) + tuple(int(np.prod(sg ** e)) for sg in signs)
+                    for e in ((0, 0), (1, 0), (0, 1), (1, 1))}, reverse=True)
+    reps = np.flatnonzero(group.min(axis=0) == np.arange(len(points)))
+    fixed = group[:, reps] == reps
+    stab = fixed.sum(axis=0)
+
+    def rows(chi):  # the representatives whose stabiliser chi keeps
+        keep = np.all(~fixed | (np.array(chi)[:, None] == 1), axis=0)
+        return reps[keep], stab[keep]
+
+    def gather(r, c, chi):
+        (ro, rs), (co, cs) = r, c
+        out = np.zeros((len(ro), len(co)), dtype=table.dtype)
+        # row chunks keep the key and value temporaries small
+        step = max(1, _GATHER_ELEMS // max(1, len(co)))
+        for g, sign in zip(group, chi):
+            col = code[g[co]] - centre
+            for r0 in range(0, len(ro), step):
+                out[r0:r0 + step] += sign * table[code[ro[r0:r0 + step], None] - col]
+        out *= (1.0 / np.sqrt(rs))[:, None]
+        out *= (1.0 / np.sqrt(cs))[None, :]
+        return out
+
+    parts = [rows(chi) for chi in chars]
+    if real or not names:
+        return tuple(gather(p, p, chi) for p, chi in zip(parts, chars) if len(p[0]))
+    plus, minus = parts
+    k = len(plus[0])
+    form = np.empty((len(points), len(points)))
+    form[:k, :k] = gather(plus, plus, chars[0]).real
+    form[k:, k:] = gather(minus, minus, chars[1]).real
+    form[:k, k:] = -gather(plus, minus, chars[1]).imag
+    form[k:, :k] = form[:k, k:].T
+    return (form,)
+
+
+def _autocorr_peak_bytes(n_points: float, real: bool) -> float:
+    """Worst-case peak bytes of ``eigen_spectrum(build_autocorr_matrix(...))``.
+
+    The blocks are held whole and ``eigvalsh`` copies the one it solves, so
+    the peak is about ``8 * (sum of squared block orders + the largest
+    one)`` bytes.  A real table has at worst the point reflection alone, two
+    blocks of about ``N/2``: ``6 N^2`` bytes.  A complex one has the real
+    form of order ``N``: ``16 N^2``.  The ACF's own work is not counted.
+    """
+    return (6.0 if real else 16.0) * n_points ** 2
+
+
+def _present_differences(points: LatticePointSet, shape: np.ndarray) -> np.ndarray:
+    """Box positions of the index differences present, in the upper half of the box.
+
+    The number of pairs with difference ``d`` is the autocorrelation of the
+    points' indicator over their index box, computed by FFT over the
+    difference box itself, which is large enough that no lag wraps around.
+    """
+    idx = points.indices.astype(np.int64)
+    ind = np.zeros(tuple(shape))
+    ind[tuple((idx - idx.min(axis=0)).T)] = 1.0
+    spec = np.fft.rfft2(ind)
+    pairs = np.fft.irfft2(spec * spec.conj(), s=tuple(shape))
+    # lag d sits at d mod shape; roll it to d + span, the box's own order
+    present = np.roll(pairs, tuple(shape // 2), axis=(0, 1)).ravel() > 0.5
+    centre = (present.size - 1) // 2
+    return np.flatnonzero(present[centre:]) + centre
 
 
 @dataclass(frozen=True)
@@ -182,19 +316,24 @@ class EigenSpectrum:
 def eigen_spectrum(c: AutocorrMatrix) -> EigenSpectrum:
     """Descending eigenvalue spectrum of the autocorrelation matrix.
 
-    Negative round-off eigenvalues above ``-1e-8`` relative to the trace are
-    clamped to zero; anything more negative is treated as a defective ACF.
+    Each of the matrix's mirror blocks is solved on its own and the
+    spectra are merged; the full matrix is never formed.  Negative round-off
+    eigenvalues above ``-1e-8`` relative to the trace (the sum of the block
+    traces) are clamped to zero; anything more negative is treated as a
+    defective ACF.
     """
-    entries = np.asarray(c.entries)
-    try:
-        vals = np.linalg.eigvalsh(entries)
-    except np.linalg.LinAlgError as exc:
-        diag = float(np.abs(np.diagonal(entries)).max())
-        off = float(np.abs(entries).max())
-        raise RuntimeError(
-            f"eigensolver failed (max |diag| {diag:.3e}, max |entry| {off:.3e}): {exc}"
-        ) from exc
-    trace = float(np.trace(entries).real)
+    parts = []
+    for b in c.blocks:
+        try:
+            parts.append(np.linalg.eigvalsh(b))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"eigensolver failed on a block of order {len(b)} "
+                f"(max |diag| {np.abs(np.diagonal(b)).max():.3e}, "
+                f"max |entry| {np.abs(b).max():.3e}): {exc}"
+            ) from exc
+    vals = np.sort(np.concatenate(parts))
+    trace = float(sum(np.trace(b).real for b in c.blocks))
     floor = -1e-8 * max(trace, 1.0)
     if vals.min() < floor:
         raise ValueError(

@@ -20,6 +20,7 @@ from . import __version__
 from ._io import write_csv, write_json
 from ._quad import ConvergenceError
 from .analysis import (
+    _autocorr_peak_bytes,
     build_autocorr_matrix,
     count_wavenumber_modes,
     dof,
@@ -256,8 +257,15 @@ def cmd_eigs(args) -> dict:
     kn = scenario.kn
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
-    pts = enumerate_lattice(q, region)
     use_clarke = args.acf == "clarke" or (args.acf == "auto" and _is_isotropic(scenario))
+    # a numeric ACF may give a complex table, so its estimate takes the worse case
+    need = _autocorr_peak_bytes(region.area / abs(q.det), real=use_clarke)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"--L {args.L:g} needs about {need / 2**30:.3g} GiB for the "
+                          f"autocorrelation blocks, above the {have / 2**30:.3g} GiB "
+                          f"of physical memory")
+    pts = enumerate_lattice(q, region)
     acf = ClarkeAcf(kn) if use_clarke else NumericAcf(scenario)
     spectrum = eigen_spectrum(build_autocorr_matrix(pts, acf))
     top = spectrum.values[0]

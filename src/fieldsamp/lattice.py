@@ -222,6 +222,19 @@ MIRRORS = {
 }
 
 
+def _index_mirror(q: SamplingMatrix, flip: np.ndarray) -> np.ndarray | None:
+    """The integer matrix ``inv(Q) @ F @ Q`` by which a mirror ``F`` maps indices.
+
+    ``None`` when ``F`` does not map the lattice of ``Q`` onto itself, that
+    is when the matrix is not an integer one (within 1e-9).
+    """
+    m = np.linalg.solve(q.q, flip @ q.q)
+    mi = np.round(m)
+    if np.abs(m - mi).max() > 1e-9:
+        return None
+    return mi.astype(np.int64)
+
+
 def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
     """Row permutations of a point set under the mirrors that keep it whole.
 
@@ -230,25 +243,23 @@ def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
     (``y -> -y``) -- that maps the point set onto itself, ``perm[name]``
     satisfies ``positions[perm[name]] == positions @ F.T`` row for row, up to
     round-off.  ``F`` maps the lattice onto itself iff ``inv(Q) @ F @ Q`` is
-    an integer matrix, which then maps the indices.  The point reflection
-    always holds, and for a set from ``enumerate_lattice`` its permutation
-    is ``N-1-i``.  Rect and hex lattices also have both flips; a rotated
-    ellipse lattice or a generic sheared ``Q`` has neither, and a flip whose
-    image leaves the set (a boundary point decided by round-off) is not
-    reported.  The rows must be ordered by ``(n2, n1)``.
+    an integer matrix (``_index_mirror``), which then maps the indices.  The
+    point reflection always holds, and for a set from ``enumerate_lattice``
+    its permutation is ``N-1-i``.  Rect and hex lattices also have both
+    flips; a rotated ellipse lattice or a generic sheared ``Q`` has neither,
+    and a flip whose image leaves the set (a boundary point decided by
+    round-off) is not reported.  The rows must be ordered by ``(n2, n1)``.
     """
     idx = points.indices.astype(np.int64)
     lo = idx.min(axis=0)
     width = idx[:, 0].max() - lo[0] + 1
     code = (idx[:, 1] - lo[1]) * width + idx[:, 0] - lo[0]  # increasing in row order
-    q = points.q.q
     perms = {}
     for name, flip in MIRRORS.items():
-        m = np.linalg.solve(q, flip @ q)
-        mi = np.round(m)
-        if np.abs(m - mi).max() > 1e-9:
+        m = _index_mirror(points.q, flip)
+        if m is None:
             continue
-        img = idx @ mi.astype(np.int64).T
+        img = idx @ m.T
         img_code = (img[:, 1] - lo[1]) * width + img[:, 0] - lo[0]
         perm = np.minimum(np.searchsorted(code, img_code), len(code) - 1)
         if np.array_equal(idx[perm], img):

@@ -38,7 +38,7 @@ from fieldsamp import (
     rotation_matrix,
 )
 from fieldsamp import analysis
-from fieldsamp.analysis import AutocorrMatrix, _interp_matrix
+from fieldsamp.analysis import _interp_matrix
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster
@@ -283,12 +283,87 @@ class TestEigenSpectrum:
         assert power_capture_count(spectrum, 0.997) == 59
 
     def test_indefinite_matrix_rejected(self):
-        mat = AutocorrMatrix(
-            entries=np.array([[1.0, 2.0], [2.0, 1.0]]),
-            points=_two_point_set(), acf=ClarkeAcf(KN),
-        )
-        with pytest.raises(ValueError, match="not PSD"):
-            eigen_spectrum(mat)
+        class TooStrongAcf(Acf):  # c = 2 off the origin: 2*ones - I has eigenvalue -1
+            kn = KN
+
+            def eval_many(self, disp):
+                return np.where(np.hypot(disp[:, 0], disp[:, 1]) > 0.0, 2.0, 1.0)
+
+        # the two-point set is one block; the rect set splits into four
+        for pts in (_two_point_set(),
+                    enumerate_lattice(nyquist_rect(KN), Region(side=2.0 * LAM))):
+            mat = build_autocorr_matrix(pts, TooStrongAcf())
+            with pytest.raises(ValueError, match="not PSD"):
+                eigen_spectrum(mat)
+
+    @pytest.mark.parametrize("name, acf, n_blocks", [
+        ("rect", "clarke", 4),
+        ("hex", "clarke", 4),
+        ("rotated", "clarke", 2),  # the point reflection only
+        ("sheared", "clarke", 2),
+        ("two-point", "clarke", 1),  # the y flip alone, which fixes both points
+        ("hex", "stretched", 2),  # a real table that no axis flip keeps
+        ("hex", "two-cluster", 1),  # a complex table: the real form of order N
+    ])
+    def test_blocks_match_full_eigensolve(self, name, acf, n_blocks):
+        from helpers import two_cluster_scenario
+
+        class StretchedAcf(Acf):  # the sinc ACF of a rotated, stretched field
+            kn = KN
+
+            def eval_many(self, disp):
+                u = disp @ (np.diag([1.0, 0.5]) @ rotation_matrix(0.6)).T
+                return np.sinc(2.0 * np.hypot(u[:, 0], u[:, 1]) / LAM)
+
+        side = Region(side=6.0 * LAM)
+        pts = {
+            "rect": lambda: enumerate_lattice(nyquist_rect(KN), side),
+            "hex": lambda: enumerate_lattice(nyquist_hex(KN), side),
+            "rotated": lambda: enumerate_lattice(nyquist_ellipse(KN, ROTATED), side),
+            "sheared": lambda: enumerate_lattice(SHEARED, side),
+            "two-point": _two_point_set,
+        }[name]()
+        acf = {"clarke": ClarkeAcf(KN), "stretched": StretchedAcf(),
+               "two-cluster": NumericAcf(two_cluster_scenario())}[acf]
+        mat = build_autocorr_matrix(pts, acf)
+        n = len(pts)
+        assert len(mat.blocks) == n_blocks
+        assert sum(len(b) for b in mat.blocks) == n
+        assert all(b.dtype == np.float64 for b in mat.blocks)
+        assert (mat.table.dtype == np.complex128) == isinstance(acf, NumericAcf)
+        full = np.linalg.eigvalsh(mat.entries)[::-1]
+        spectrum = eigen_spectrum(mat)
+        assert np.abs(spectrum.values - np.clip(full, 0.0, None)).max() <= 1e-12 * n
+
+    def test_eigensolve_holds_no_full_matrix(self):
+        import tracemalloc
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
+        tracemalloc.start()
+        try:
+            eigen_spectrum(build_autocorr_matrix(pts, ClarkeAcf(KN)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 1415
+        assert peak < 8 * len(pts) ** 2  # one N x N float64, 16 MB
+
+    def test_isotropic_counts_approach_the_szego_limit(self):
+        # For the sinc ACF the symbol's highest-power set holding p of the
+        # power is the disk of area share p^2, so count_997 tends to
+        # 0.997^2 * dof_formula_disk; the excess (the plunge region) grows
+        # like L ln L.  The ratio is not monotone at every step (L=40 reads
+        # 1.0473, above L=30's 1.0457), so only widely spaced L are chained.
+        ratios, excess = {}, {}
+        for side in (10, 20, 30, 40):
+            region = Region(side=side * LAM)
+            pts = enumerate_lattice(nyquist_hex(KN), region)
+            count = power_capture_count(
+                eigen_spectrum(build_autocorr_matrix(pts, ClarkeAcf(KN))), 0.997)
+            limit = 0.997 ** 2 * dof(SpectralSupport.disk(KN), region).dof_real
+            ratios[side] = count / limit
+            excess[side] = (count - limit) / (side * math.log(side))
+        assert ratios[10] > ratios[20] > ratios[30] > 1.0
+        assert max(excess.values()) < 2.2, excess
 
     def test_validation_of_order(self):
         with pytest.raises(ValueError):

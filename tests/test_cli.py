@@ -78,6 +78,8 @@ class TestUsage:
         ["eigs", "--scheme", "rect", "--L", "4", "--phi-deg", "30"],
         ["dof", "--L", "4", "--support", "disk", "--a1", "0.5", "--a2", "0.4"],
         ["dof", "--L", "4", "--support", "rect", "--phi-deg", "30"],
+        # blocks larger than physical memory, rejected before the lattice is enumerated
+        ["eigs", "--scheme", "hex", "--L", "100000"],
     ])
     def test_bad_flag_values_exit_two(self, args, tmp_path):
         write_scenario(tmp_path / "s.json", two_cluster_json())
