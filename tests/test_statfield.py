@@ -25,7 +25,13 @@ from fieldsamp import (
     synthesize,
 )
 from fieldsamp import statfield
-from fieldsamp.statfield import _ACF_TOL, _draw_waves, _lattice_wave_sum, _plane_wave_sum
+from fieldsamp.statfield import (
+    _ACF_TOL,
+    _draw_waves,
+    _exp_table,
+    _lattice_wave_sum,
+    _plane_wave_sum,
+)
 from helpers import broadside_cluster, two_cluster_scenario
 
 LAM = 1.0
@@ -222,6 +228,65 @@ class TestLatticeWaveSum:
         out = _lattice_wave_sum(step * np.eye(2), idx, k, gains)
         ref = _plane_wave_sum(idx * step, k, gains)
         assert np.abs(out - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("chunks", [None, (7, 100)], ids=["default", "small-chunks"])
+    @pytest.mark.parametrize("kind", ["upper-half-differences", "shifted-box"])
+    def test_matches_direct_sum_off_centre(self, kind, chunks, monkeypatch):
+        # index sets not symmetric through the origin: the upper half of the
+        # index differences plus the origin, as build_autocorr_matrix passes
+        # them (lo = 0 on axis 0), and a box shifted off the origin
+        if chunks is not None:
+            monkeypatch.setattr(statfield, "_ROW_CHUNK", chunks[0])
+            monkeypatch.setattr(statfield, "_NODE_CHUNK", chunks[1])
+        q = nyquist_hex(KN)
+        if kind == "upper-half-differences":
+            span = np.ptp(enumerate_lattice(q, Region(side=8.0 * LAM)).indices, axis=0)
+            d1, d2 = np.meshgrid(np.arange(0, span[0] + 1),
+                                 np.arange(-span[1], span[1] + 1), indexing="ij")
+            idx = np.column_stack([d1.ravel(), d2.ravel()])
+            idx = np.vstack([idx[(idx[:, 0] > 0) | (idx[:, 1] > 0)], [[0, 0]]])
+        else:
+            d1, d2 = np.meshgrid(np.arange(3, 21), np.arange(-9, -1), indexing="ij")
+            idx = np.column_stack([d1.ravel(), d2.ravel()])
+        k, gains = _draw_waves(two_cluster_scenario(),
+                               np.random.default_rng([3, 3]), 512)
+        ref = np.exp(1j * ((idx @ q.q.T) @ k.T)) @ gains
+        out = _lattice_wave_sum(q.q, idx, k, gains)
+        assert np.abs(out - ref).max() < 1e-10
+
+
+class TestExpTable:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64")
+    @pytest.mark.parametrize("lo, hi", [(-1024, 1024), (0, 1023), (-3, 700)])
+    def test_accurate_against_long_double(self, lo, hi):
+        b = np.random.default_rng([5, hi]).uniform(-math.tau, math.tau, 256)
+        phase = np.multiply.outer(np.arange(lo, hi + 1, dtype=np.longdouble),
+                                  b.astype(np.longdouble))
+        table = _exp_table(lo, hi, b)
+        err = np.hypot(table.real - np.cos(phase), table.imag - np.sin(phase))
+        assert err.max() <= 2e-15
+
+    @pytest.mark.parametrize("lo, hi", [(-40, 40), (-3, 700), (-700, 3), (-5, 0)])
+    def test_exact_identities(self, lo, hi):
+        b = np.random.default_rng(7).uniform(-math.tau, math.tau, 64)
+        table = _exp_table(lo, hi, b)
+        zero = -lo
+        assert np.all(table[zero].real == 1.0) and np.all(table[zero].imag == 0.0)
+        m = min(-lo, hi)
+        plus = table[zero + 1:zero + m + 1]
+        minus = table[zero - m:zero][::-1]
+        assert minus.tobytes() == np.conj(plus).tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (0, 37), (-3, 5), (2, 9)],
+                             ids=["origin", "single-row", "acf-span", "asymmetric",
+                                  "positive-offset"])
+    def test_shapes(self, lo, hi):
+        b = np.random.default_rng(11).uniform(-math.tau, math.tau, 33)
+        table = _exp_table(lo, hi, b)
+        assert table.shape == (hi - lo + 1, 33)
+        ref = np.exp(1j * np.multiply.outer(np.arange(lo, hi + 1), b))
+        assert np.abs(table - ref).max() < 1e-13
 
 
 class TestFieldRealization:
