@@ -73,6 +73,7 @@ from .analysis import (
     eigen_spectrum,
     mse_experiment,
     mse_experiments,
+    mse_sweep,
     power_capture_count,
     reconstruct,
 )

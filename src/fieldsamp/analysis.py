@@ -43,6 +43,7 @@ __all__ = [
     "reconstruct",
     "mse_experiment",
     "mse_experiments",
+    "mse_sweep",
 ]
 
 
@@ -430,9 +431,9 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
                    n_waves: int = 1024, workers: int = 1) -> MseReport:
     """Monte Carlo reconstruction MSE of one sampling scheme.
 
-    The one-scheme case of ``mse_experiments``, which documents the
-    arguments, the evaluation grid and the substreams; the report is the one
-    it gives for ``[(q, kern)]``, bit for bit.
+    The one-scheme case of ``mse_experiments``, and so of ``mse_sweep``,
+    which documents the arguments, the evaluation grid and the substreams;
+    the report is the one they give for ``[(q, kern)]``, bit for bit.
     """
     return mse_experiments(s, [(q, kern)], region, n_realizations=n_realizations,
                            seed=seed, n_waves=n_waves, workers=workers)[0]
@@ -444,8 +445,44 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     """Monte Carlo reconstruction MSE of several schemes on the same fields.
 
     ``schemes`` is a sequence of ``(q, kern)`` pairs; one ``MseReport`` is
-    returned per pair, in order.  Fields are synthesized from the scenario,
-    sampled on the lattice of each ``q`` restricted to ``region``,
+    returned per pair, in order.  The one-region case of ``mse_sweep``,
+    which documents the arguments, the evaluation grid and the substreams;
+    the reports are the ones it gives for ``[region]``, bit for bit.
+    """
+    return mse_sweep(s, schemes, [region], n_realizations=n_realizations, seed=seed,
+                     n_waves=n_waves, workers=workers)[0]
+
+
+def _grid_half(s: ScatteringScenario, region: Region) -> int:
+    """Half-width ``h`` of the evaluation grid's index box ``|i|, |j| <= h``."""
+    return int(math.floor(0.25 * region.side / (s.kn.wavelength / 8) + 1e-9))
+
+
+def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
+                    region: Region, n_realizations: int) -> float:
+    """Worst-case peak bytes of ``mse_sweep`` whose largest region is ``region``.
+
+    With ``G`` grid points, at most ``N ~ area / |det Q|`` samples per scheme
+    and ``n = min(R, 128)`` realizations per group: the ``(G+1)//2`` half
+    rows of the interpolation matrix (``8 G N / 2`` bytes), the group's
+    truth on the grid (``16 G n``) and one scheme's samples (``16 N n``).
+    """
+    n_grid = (2 * _grid_half(s, region) + 1) ** 2
+    n_points = max(region.area / abs(q.det) for q, _ in schemes)
+    group = min(n_realizations, _MSE_GROUP)
+    return 8.0 * ((n_grid + 1) // 2) * n_points + 16.0 * (n_grid + n_points) * group
+
+
+def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
+              regions: list[Region], n_realizations: int = 500, seed: int = 42,
+              n_waves: int = 1024, workers: int = 1) -> list[list[MseReport]]:
+    """Monte Carlo reconstruction MSE of several schemes over several regions.
+
+    ``schemes`` is a sequence of ``(q, kern)`` pairs and ``regions`` a
+    non-empty sequence of centred squares, in any order and possibly
+    repeated; one list of ``MseReport`` (one per pair, in order) is returned
+    per region, in the order given.  Fields are synthesized from the
+    scenario, sampled on the lattice of each ``q`` restricted to the region,
     reconstructed with its ``kern``, and compared on a uniform grid of 8
     points per wavelength covering the central square of half the region's
     side, away from the truncation boundary.  Every argument is checked, and
@@ -454,19 +491,29 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
 
     Realization ``i`` draws from the deterministic substream
     ``default_rng([seed, i])``, so results are reproducible bit for bit and
-    the schemes are common-random-number paired: all of them see the same
-    field.  Each realization's waves are therefore drawn once, and its true
-    field on the grid synthesized once, for all schemes.  Realizations run
-    in groups of 128; a group's truth is kept as an ``n_grid x group``
+    the cells are common-random-number paired: every scheme and every region
+    sees the same field.  The regions are nested, so for one ``q`` a smaller
+    region's lattice points are a subset of the largest region's, and its
+    grid the central sub-box ``|i|, |j| <= h`` of the largest grid.  Each
+    realization's waves are therefore drawn once, its true field synthesized
+    once on the largest grid, and, one scheme at a time, its samples
+    synthesized once on that scheme's largest lattice; each cell gathers its
+    own rows (matched by integer index) and its own sub-box.  Realizations
+    run in groups of 128; a group's truth is kept as an ``n_grid x group``
     complex table, so at most ``min(R, 128) * n_grid * 16`` bytes of it are
-    held whatever ``n_realizations`` (R) is.  Each scheme's interpolation
-    matrix is rebuilt per group, once when R <= 128.  Within a group,
-    realizations are reconstructed in fixed blocks of 16, one matrix product
-    per block; block boundaries depend on R alone, and a scheme's errors are
-    summed in the same order whether it runs alone or with others.
-    ``workers`` is validated but changes neither the results nor the
-    execution: the BLAS library already runs the matrix products on every
-    core it uses.
+    held whatever ``n_realizations`` (R) is, next to one scheme's samples
+    (``min(R, 128) * N * 16`` bytes).  Each cell's interpolation matrix is
+    rebuilt per group, once when R <= 128.  Within a group, realizations are
+    reconstructed in fixed blocks of 16, one matrix product per block; block
+    boundaries depend on R alone, and a cell's errors are summed in the same
+    order whichever other schemes and regions run with it.  ``workers`` is
+    validated but changes neither the results nor the execution: the BLAS
+    library already runs the matrix products on every core it uses.
+
+    The largest region's reports equal a run over that region alone, bit
+    for bit.  A smaller region's values come out of a larger exponential
+    product, so its figures agree with a run over it alone to round-off
+    (about 1e-15 relative), not bit for bit.
 
     The interpolation matrix is never built whole; each scheme's lattice
     structure decides how much of it is evaluated:
@@ -497,54 +544,100 @@ def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
+    if not regions:
+        raise ValueError("regions must not be empty")
     for q, kern in schemes:
         _check_pairing(kern, q)
-    lattices = [enumerate_lattice(q, region) for q, _ in schemes]
+    # each distinct side is one cell per scheme; the largest comes last
+    sides = sorted({region.side for region in regions})
+    cells = [Region(side=side) for side in sides]
+    lattices = [[enumerate_lattice(q, cell) for cell in cells] for q, _ in schemes]
+    rows = [[_rows_within(pts[-1], p) for p in pts] for pts in lattices]
 
     # the evaluation grid is the lattice step*I over a square index box
     step = s.kn.wavelength / 8
-    half = int(math.floor(0.25 * region.side / step + 1e-9))
-    grid_axis = np.arange(-half, half + 1)
+    halves = [_grid_half(s, cell) for cell in cells]
+    axes = [step * np.arange(-h, h + 1) for h in halves]
+    big = halves[-1]
+    grid_axis = np.arange(-big, big + 1)
     gx, gy = np.meshgrid(grid_axis, grid_axis, indexing="ij")
     grid_idx = np.column_stack([gx.ravel(), gy.ravel()])
     grid_q = step * np.eye(2)
-    axis = grid_axis * step
 
     root_m = math.sqrt(n_waves)
-    totals = [np.zeros(len(grid_idx)) for _ in schemes]
+    totals = [[np.zeros((2 * h + 1) ** 2) for h in halves] for _ in schemes]
     for g0 in range(0, n_realizations, _MSE_GROUP):
         # same wave draws as synthesize() for these substreams
         waves = [_draw_waves(s, np.random.default_rng([seed, i]), n_waves)
                  for i in range(g0, min(g0 + _MSE_GROUP, n_realizations))]
-        truth = np.empty((len(grid_idx), len(waves)), dtype=complex)
-        for j, (k, gains) in enumerate(waves):
-            truth[:, j] = _lattice_wave_sum(grid_q, grid_idx, k, gains) / root_m
-        for (q, kern), pts, total in zip(schemes, lattices, totals):
-            _add_squared_errors(total, q, kern, pts, axis, waves, truth, root_m)
+        truth = _synthesize_group(grid_q, grid_idx, waves, root_m)
+        box = truth.reshape(2 * big + 1, 2 * big + 1, len(waves))
+        for (q, kern), pts, picks, cell_totals in zip(schemes, lattices, rows, totals):
+            samples = _synthesize_group(q.q, pts[-1].indices, waves, root_m)
+            for p, pick, h, axis, total in zip(pts, picks, halves, axes, cell_totals):
+                cut = slice(big - h, big + h + 1)
+                _add_squared_errors(
+                    total, q, kern, p, axis,
+                    samples if pick is None else samples[pick],
+                    truth if h == big else box[cut, cut].reshape(-1, len(waves)))
+            del samples  # one scheme's samples alive at a time
 
-    reports = []
-    for pts, total in zip(lattices, totals):
-        pointwise = (total / n_realizations).reshape(len(axis), len(axis))
-        average = float(pointwise.mean())
-        reports.append(MseReport(
-            axis=axis,
-            pointwise=pointwise,
-            average=average,
-            normalized=average / 1.0,
-            n_realizations=n_realizations,
-            n_samples=len(pts),
-        ))
-    return reports
+    reports = {}
+    for j, (side, axis) in enumerate(zip(sides, axes)):
+        reports[side] = []
+        for pts, cell_totals in zip(lattices, totals):
+            pointwise = (cell_totals[j] / n_realizations).reshape(len(axis), len(axis))
+            average = float(pointwise.mean())
+            reports[side].append(MseReport(
+                axis=axis,
+                pointwise=pointwise,
+                average=average,
+                normalized=average / 1.0,
+                n_realizations=n_realizations,
+                n_samples=len(pts[j]),
+            ))
+    return [list(reports[region.side]) for region in regions]
+
+
+def _rows_within(whole: LatticePointSet, part: LatticePointSet) -> np.ndarray | None:
+    """The rows of ``whole`` holding ``part``'s indices, in ``part``'s order.
+
+    None when ``part`` is ``whole``'s own point set; ``ValueError`` if an
+    index of ``part`` is missing from ``whole``.
+    """
+    if part is whole:
+        return None
+    lo = whole.indices.min(axis=0)
+    shape = whole.indices.max(axis=0) - lo + 1
+    where = np.full(shape, -1)
+    where[tuple((whole.indices - lo).T)] = np.arange(len(whole))
+    rel = part.indices - lo
+    inside = np.all((rel >= 0) & (rel < shape), axis=1)
+    found = np.full(len(part), -1)
+    found[inside] = where[tuple(rel[inside].T)]
+    if np.any(found < 0):
+        raise ValueError("a smaller region's lattice point is missing from the largest "
+                         "region's lattice")
+    return found
+
+
+def _synthesize_group(q: np.ndarray, indices: np.ndarray, waves: list,
+                      root_m: float) -> np.ndarray:
+    """Each realization's field at the lattice points ``Q n``, one column each."""
+    out = np.empty((len(indices), len(waves)), dtype=complex)
+    for j, (k, gains) in enumerate(waves):
+        out[:, j] = _lattice_wave_sum(q, indices, k, gains) / root_m
+    return out
 
 
 def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
-                        pts: LatticePointSet, axis: np.ndarray, waves: list,
-                        truth: np.ndarray, root_m: float) -> None:
-    """Add one group's squared reconstruction errors of one scheme into ``total``.
+                        pts: LatticePointSet, axis: np.ndarray, samples: np.ndarray,
+                        truth: np.ndarray) -> None:
+    """Add one group's squared reconstruction errors of one cell into ``total``.
 
-    ``axis`` holds the grid's coordinates along x and along y, ``waves`` the
-    group's draws and ``truth`` their fields on the whole grid, one column
-    each.
+    ``axis`` holds the grid's coordinates along x and along y, ``samples``
+    the group's fields at ``pts`` and ``truth`` on the whole grid, one column
+    per realization.
     """
     box = np.ptp(pts.indices, axis=0) + 1
     diagonal = q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0
@@ -552,15 +645,10 @@ def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
         recon = _separable_reconstruction(kern, pts, axis, box)
     else:
         recon = _mirrored_reconstruction(kern, pts, axis)
-    n_s = len(pts)
-    for b0 in range(0, len(waves), _MSE_BLOCK):
-        width = min(_MSE_BLOCK, len(waves) - b0)
-        stacked = np.empty((n_s, 2 * width))
-        for j, (k, gains) in enumerate(waves[b0:b0 + width]):
-            es = _lattice_wave_sum(q.q, pts.indices, k, gains) / root_m
-            stacked[:, j] = es.real
-            stacked[:, width + j] = es.imag
-        both = recon(stacked)
+    for b0 in range(0, samples.shape[1], _MSE_BLOCK):
+        es = samples[:, b0:b0 + _MSE_BLOCK]
+        width = es.shape[1]
+        both = recon(np.hstack([es.real, es.imag]))
         block = truth[:, b0:b0 + width]
         total += ((block.real - both[:, :width]) ** 2
                   + (block.imag - both[:, width:]) ** 2).sum(axis=1)

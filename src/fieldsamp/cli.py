@@ -21,12 +21,13 @@ from ._io import write_csv, write_json
 from ._quad import ConvergenceError
 from .analysis import (
     _autocorr_peak_bytes,
+    _mse_peak_bytes,
     build_autocorr_matrix,
     count_wavenumber_modes,
     dof,
     dof_loss_rect_vs_disk,
     eigen_spectrum,
-    mse_experiments,
+    mse_sweep,
     power_capture_count,
     reconstruct,
 )
@@ -84,6 +85,13 @@ def _check_args(args) -> None:
     if given == ["--phi-deg"] or (given and kind in ("rect", "hex", "disk")):
         raise ConfigError(f"{', '.join(given)} would be ignored: ellipse flags need "
                           f"an ellipse and --phi-deg needs --a1/--a2")
+
+
+def _check_memory(need: float, what: str, held: str) -> None:
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"{what} needs about {need / 2**30:.3g} GiB for {held}, "
+                          f"above the {have / 2**30:.3g} GiB of physical memory")
 
 
 def _load_scenario(args) -> ScatteringScenario:
@@ -259,12 +267,8 @@ def cmd_eigs(args) -> dict:
     region = Region(side=args.L * kn.wavelength)
     use_clarke = args.acf == "clarke" or (args.acf == "auto" and _is_isotropic(scenario))
     # a numeric ACF may give a complex table, so its estimate takes the worse case
-    need = _autocorr_peak_bytes(region.area / abs(q.det), real=use_clarke)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(f"--L {args.L:g} needs about {need / 2**30:.3g} GiB for the "
-                          f"autocorrelation blocks, above the {have / 2**30:.3g} GiB "
-                          f"of physical memory")
+    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), real=use_clarke),
+                  f"--L {args.L:g}", "the autocorrelation blocks")
     pts = enumerate_lattice(q, region)
     acf = ClarkeAcf(kn) if use_clarke else NumericAcf(scenario)
     spectrum = eigen_spectrum(build_autocorr_matrix(pts, acf))
@@ -367,15 +371,16 @@ def cmd_mse_sweep(args) -> dict:
         ("hex", nyquist_hex(kn), kernel_disk(kn)),
         ("rect_half_lambda", nyquist_rect(kn), kernel_rect(kn)),
     ]
-    rows = []
-    for side in sides:
-        reports = mse_experiments(
-            scenario, [(q, kern) for _, q, kern in schemes], Region(side=side * lam),
-            n_realizations=args.realizations, seed=args.seed,
-            n_waves=args.n_waves, workers=args.workers,
-        )
-        for (name, _, _), rep in zip(schemes, reports):
-            rows.append((side, name, 10.0 * math.log10(rep.normalized)))
+    pairs = [(q, kern) for _, q, kern in schemes]
+    largest = Region(side=max(sides) * lam)
+    _check_memory(_mse_peak_bytes(scenario, pairs, largest, args.realizations),
+                  f"--L-list side {max(sides):g}", "its grid, samples and interpolation rows")
+    per_side = mse_sweep(scenario, pairs, [Region(side=side * lam) for side in sides],
+                         n_realizations=args.realizations, seed=args.seed,
+                         n_waves=args.n_waves, workers=args.workers)
+    rows = [(side, name, 10.0 * math.log10(rep.normalized))
+            for side, reports in zip(sides, per_side)
+            for (name, _, _), rep in zip(schemes, reports)]
     return {
         "mse_sweep.csv": ("csv", ["L_over_lambda", "scheme", "normalized_mse_db"], rows),
         "mse_sweep_config.json": ("json", _resolved_config(args, {

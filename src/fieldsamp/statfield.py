@@ -41,7 +41,7 @@ __all__ = [
 _ACF_LEVELS = ((64, 128), (128, 256), (256, 512), (512, 1024))
 _ACF_TOL = 1e-6
 _NODE_CHUNK = 32768
-_ROW_CHUNK = 512
+_ROW_CHUNK = 32  # a block of 2^20 phases is 8 MB; 512 rows streamed 134-MB temporaries
 
 
 class Acf:

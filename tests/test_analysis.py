@@ -30,6 +30,7 @@ from fieldsamp import (
     kernel_rect,
     mse_experiment,
     mse_experiments,
+    mse_sweep,
     nyquist_ellipse,
     nyquist_hex,
     nyquist_rect,
@@ -38,7 +39,7 @@ from fieldsamp import (
     rotation_matrix,
 )
 from fieldsamp import analysis
-from fieldsamp.analysis import _interp_matrix
+from fieldsamp.analysis import _interp_matrix, _rows_within
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster
@@ -76,7 +77,7 @@ STRUCTURED = [
 ]
 
 
-def _dense_half_squared_errors(total, q, kern, pts, axis, waves, truth, root_m):
+def _dense_half_squared_errors(total, q, kern, pts, axis, samples, truth):
     """Oracle for ``analysis._add_squared_errors``: the dense half-row build.
 
     The kernel is evaluated on every grid row up to the centre, whatever the
@@ -86,13 +87,10 @@ def _dense_half_squared_errors(total, q, kern, pts, axis, waves, truth, root_m):
     top = (n_grid + 1) // 2
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     f = _interp_matrix(kern, np.column_stack([gx.ravel(), gy.ravel()])[:top], pts.positions)
-    for b0 in range(0, len(waves), analysis._MSE_BLOCK):
-        width = min(analysis._MSE_BLOCK, len(waves) - b0)
-        stacked = np.empty((len(pts), 2 * width))
-        for j, (k, gains) in enumerate(waves[b0:b0 + width]):
-            es = _lattice_wave_sum(q.q, pts.indices, k, gains) / root_m
-            stacked[:, j] = es.real
-            stacked[:, width + j] = es.imag
+    for b0 in range(0, samples.shape[1], analysis._MSE_BLOCK):
+        es = samples[:, b0:b0 + analysis._MSE_BLOCK]
+        width = es.shape[1]
+        stacked = np.hstack([es.real, es.imag])
         both = f @ np.hstack([stacked, stacked[::-1]])
         recon = np.vstack([both[:, :2 * width], both[:n_grid - top, 2 * width:][::-1]])
         block = truth[:, b0:b0 + width]
@@ -656,3 +654,81 @@ class TestMseExperiment:
         with pytest.raises(ValueError):
             mse_experiment(ISO, nyquist_hex(KN), kernel_disk(KN),
                            Region(side=2.0), n_realizations=2, workers=0)
+
+
+class TestMseSweep:
+    SHAPE = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
+    # the separable, quadrant and half-row builds
+    SCHEMES = [(nyquist_rect(KN), kernel_rect(KN)), (nyquist_hex(KN), kernel_disk(KN)),
+               (nyquist_ellipse(KN, SHAPE), kernel_ellipse(KN, SHAPE))]
+    SIDES = (2.0, 3.0, 4.0)
+
+    def test_draws_and_syntheses_once_per_realization(self, monkeypatch):
+        # one draw and one grid truth per realization, and per scheme one
+        # synthesis at its largest lattice, for all three sides
+        calls = {"draw": 0, "sum": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "_draw_waves", counting("draw", _draw_waves))
+        monkeypatch.setattr(analysis, "_lattice_wave_sum", counting("sum", _lattice_wave_sum))
+        n_real = 19
+        mse_sweep(ISO, self.SCHEMES, [Region(side=v * LAM) for v in self.SIDES],
+                  n_realizations=n_real, seed=2, n_waves=16)
+        assert calls == {"draw": n_real, "sum": (1 + len(self.SCHEMES)) * n_real}
+
+    def test_cells_match_separate_runs(self, monkeypatch):
+        # the largest side is its separate run bit for bit; a smaller side's
+        # values come out of a larger exponential product, so it agrees to
+        # round-off, whatever the group size
+        s = broadside_cluster(40.0)
+        kwargs = dict(n_realizations=37, seed=13, n_waves=48)
+        regions = [Region(side=v * LAM) for v in self.SIDES]
+        separate = [mse_experiments(s, self.SCHEMES, r, **kwargs) for r in regions]
+        # 32 gives two groups, the second a partial block
+        for group in (analysis._MSE_GROUP, 32):
+            monkeypatch.setattr(analysis, "_MSE_GROUP", group)
+            swept = mse_sweep(s, self.SCHEMES, regions, **kwargs)
+            assert len(swept) == len(regions)
+            for cells, refs in zip(swept[:-1], separate[:-1]):
+                for a, b in zip(cells, refs, strict=True):
+                    assert np.array_equal(a.axis, b.axis)
+                    assert a.n_samples == b.n_samples
+                    # where a grid point is a sample the sinc kernel reproduces
+                    # it, and both MSEs are round-off that only compares in size
+                    exact = b.pointwise < 1e-24
+                    assert np.all(a.pointwise[exact] < 1e-24)
+                    np.testing.assert_allclose(a.pointwise[~exact], b.pointwise[~exact],
+                                               rtol=1e-12, atol=0.0)
+            for a, b in zip(swept[-1], separate[-1], strict=True):
+                assert np.array_equal(a.pointwise, b.pointwise)
+                assert a.average == b.average
+                assert a.n_samples == b.n_samples
+
+    def test_unsorted_and_repeated_sides(self):
+        kwargs = dict(n_realizations=5, seed=3, n_waves=32)
+        ordered = mse_sweep(ISO, self.SCHEMES, [Region(side=v * LAM) for v in self.SIDES],
+                            **kwargs)
+        mixed = mse_sweep(ISO, self.SCHEMES,
+                          [Region(side=v * LAM) for v in (3.0, 2.0, 4.0, 3.0)], **kwargs)
+        for got, want in zip(mixed, [ordered[1], ordered[0], ordered[2], ordered[1]],
+                             strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a.pointwise, b.pointwise)
+                assert a.n_samples == b.n_samples
+
+    def test_missing_lattice_row_raises(self):
+        q = nyquist_hex(KN)
+        small, large = (enumerate_lattice(q, Region(side=v * LAM)) for v in (2.0, 3.0))
+        rows = _rows_within(large, small)
+        assert np.array_equal(large.indices[rows], small.indices)
+        with pytest.raises(ValueError, match="missing"):
+            _rows_within(small, large)
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError, match="regions"):
+            mse_sweep(ISO, self.SCHEMES, [], n_realizations=2, n_waves=16)

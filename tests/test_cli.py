@@ -87,6 +87,22 @@ class TestUsage:
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["kind"] == "config"
 
+    def test_oversized_mse_sweep_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # the estimate comes from the arguments alone: no lattice is enumerated
+        def never(*args, **kwargs):
+            raise AssertionError("called before the memory check")
+
+        monkeypatch.setattr(cli, "enumerate_lattice", never)
+        monkeypatch.setattr(cli, "mse_sweep", never)
+        out = tmp_path / "out"
+        rc = cli.main(["mse-sweep", "--a1", "1", "--a2", "1", "--L-list", "2,100000",
+                       "--out", str(out)])
+        assert rc == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "config"
+        assert "physical memory" in doc["error"]
+        assert not out.exists()
+
     def test_invalid_scenario_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lambda": 1.0, "clusters": [{"weight": 2.0,'

@@ -1,6 +1,7 @@
 """Autocorrelation models, field energy, and plane-wave synthesis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestNumericAcf:
         many = NumericAcf(s).eval_many(disp)
         single = np.array([acf_numeric(s, r) for r in disp])
         assert np.allclose(many, single, atol=1e-9)
+
+    def test_eval_many_phase_blocks_stay_small(self):
+        # 600 displacements against up to 512 x 1024 quadrature nodes: each
+        # cos/sin block holds at most _ROW_CHUNK x _NODE_CHUNK phases (8 MB),
+        # where 512-row blocks peaked at about 257 MB
+        disp = np.random.default_rng(0).uniform(-4.0, 4.0, (600, 2))
+        tracemalloc.start()
+        try:
+            NumericAcf(broadside_cluster(40.0)).eval_many(disp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_correlation_never_exceeds_unity(self):
         s = two_cluster_scenario()
