@@ -267,24 +267,35 @@ def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
     return perms
 
 
+def _reduced_basis(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange-Gauss reduction of the lattice basis in the columns of ``b``.
+
+    Returns ``u, v`` spanning the same lattice with ``|u| <= |v|`` and
+    ``|u . v| <= |u|^2 / 2``, so the angle between them is at least 60
+    degrees and ``|l1 u + l2 v| >= (sqrt(3)/2) max(|l1| |u|, |l2| |v|)``.
+    """
+    u, v = b.T
+    while True:  # each pass that does not stop shortens u
+        v = v - round((u @ v) / (u @ u)) * u
+        if v @ v >= u @ u:
+            return u, v
+        u, v = v, u
+
+
 def alias_free(s: SpectralSupport, q: SamplingMatrix) -> bool:
     """Whether spectral replicas of the support do not overlap under Q sampling.
 
     The basis of the replica lattice ``P = 2*pi*inv(Q.T)`` is mapped onto the
-    support's base shape (``s.to_base``) and Lagrange-Gauss-reduced there;
-    every nonzero replica offset must then be at least ``2*kappa`` long, in
-    the Euclidean norm for the disk (and so the ellipse), in the max norm for
-    the square.  In a reduced basis ``|l1 u + l2 v|^2 >= 3 |u|^2`` whenever
-    ``|l|_inf >= 2``, and the max norm is at least ``1/sqrt(2)`` of the
-    Euclidean one, so the shortest offset in either norm has ``|l|_inf <= 1``:
-    the check is exact in any basis.  Tangent replicas count as alias-free.
+    support's base shape (``s.to_base``) and Lagrange-Gauss-reduced there
+    (``_reduced_basis``); every nonzero replica offset must then be at least
+    ``2*kappa`` long, in the Euclidean norm for the disk (and so the
+    ellipse), in the max norm for the square.  In a reduced basis
+    ``|l1 u + l2 v|^2 >= 3 |u|^2`` whenever ``|l|_inf >= 2``, and the max norm
+    is at least ``1/sqrt(2)`` of the Euclidean one, so the shortest offset in
+    either norm has ``|l|_inf <= 1``: the check is exact in any basis.
+    Tangent replicas count as alias-free.
     """
-    u, v = (s.to_base @ periodicity_from_sampling(q).p).T
-    while True:  # each pass that does not stop shortens u
-        v = v - round((u @ v) / (u @ u)) * u
-        if v @ v >= u @ u:
-            break
-        u, v = v, u
+    u, v = _reduced_basis(s.to_base @ periodicity_from_sampling(q).p)
     # the eight neighbours |l|_inf <= 1 are these four and their negatives
     offsets = np.array([u, v, u + v, u - v])
     sep = 2.0 * s.kn.kappa * (1.0 - _ALIAS_RTOL)

@@ -11,7 +11,10 @@ sum is evaluated at any positions by ``_plane_wave_sum`` and at lattice
 indices by ``_lattice_wave_sum``.  The latter factors each wave over the
 index box into two exponential tables whose only trigonometry is
 ``bit_length`` rows per axis (6 for the indices -32..32); every table
-entry is within about 1e-15 of the exact exponential.
+entry is within about 1e-15 of the exact exponential.  On a lattice ``Q n``
+the autocorrelation is also the Fourier series of the spectrum periodized
+on ``P = 2 pi inv(Q.T)``, so for a spectrum without power near the horizon
+one FFT over the reciprocal cell gives the whole table.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from ._io import write_csv, write_json
 from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, Wavenumber
+from .lattice import SamplingMatrix, _reduced_basis, periodicity_from_sampling
 from .scattering import ScatteringScenario, _factor_sq
 
 __all__ = [
@@ -40,6 +44,12 @@ __all__ = [
 
 _ACF_LEVELS = ((64, 128), (128, 256), (256, 512), (512, 1024))
 _ACF_TOL = 1e-6
+# NumericAcf.eval_lattice takes its torus route up to this cluster horizon
+# weight (a weight w costs it about 1.2e5 * w at K = 256, so at most 1.2e-11)
+# and this reciprocal-cell area over the disk area (1.10 hex, 1.27 rect; at
+# 5.1 a 480-step 1-D lattice no longer converges by K = 1024)
+_RIM_MAX = 1e-16
+_CELL_MAX = 2.0
 _NODE_CHUNK = 32768
 _ROW_CHUNK = 32  # a block of 2^20 phases is 8 MB; 512 rows streamed 134-MB temporaries
 
@@ -95,14 +105,24 @@ class NumericAcf(Acf):
     successive levels agree within ``_ACF_TOL = 1e-6`` on the requested
     displacements; values are normalized by the same-level value at zero
     displacement so that ``c(0) = 1`` exactly.  ``eval_many`` sums each
-    node's plane wave at every displacement (``_plane_wave_sum``);
-    ``eval_lattice`` factors each node's phase at ``Q n`` as
-    ``exp(i n1 b1) exp(i n2 b2)`` with ``b = Q.T k`` and sums over the
-    integer index box (``_lattice_wave_sum``), so it needs exponentials only
-    along the two axes of the box: a box of side ``2P + 1`` costs
-    ``bit_length(P)`` rows of cos/sin per axis, and each factor is within
-    about 1e-15 of the exact exponential.  Both run the same level sequence
-    and convergence test.
+    node's plane wave at every displacement (``_plane_wave_sum``).
+
+    ``eval_lattice`` takes one of two routes, picked from the scenario and
+    ``Q`` alone.  When every cluster's horizon weight
+    ``exp(alpha (sin theta_r - 1))`` is at most ``_RIM_MAX = 1e-16`` and the
+    reciprocal cell ``P = 2 pi inv(Q.T)`` covers at most ``_CELL_MAX = 2``
+    disk areas (every Nyquist lattice), it sums the spectrum's Fourier
+    series over a K x K torus grid with one FFT (``_torus_lattice``), within
+    about 1e-11 of the quadrature.  The ``1/k_z`` singularity at the horizon
+    breaks that trapezoid rule, and an oversampled ``Q`` leaves the disk a
+    small share of the grid, so every other case keeps the quadrature: it
+    factors each node's phase at ``Q n`` as ``exp(i n1 b1) exp(i n2 b2)``
+    with ``b = Q.T k`` and sums over the integer index box
+    (``_lattice_wave_sum``), so it needs exponentials only along the two
+    axes of the box: a box of side ``2P + 1`` costs ``bit_length(P)`` rows of
+    cos/sin per axis, and each factor is within about 1e-15 of the exact
+    exponential.  Both routes run the same level sequence and convergence
+    test; the torus route's K is each level's azimuth count.
     """
 
     def __init__(self, scenario: ScatteringScenario):
@@ -130,8 +150,67 @@ class NumericAcf(Acf):
 
     def eval_lattice(self, q: np.ndarray, indices: np.ndarray) -> np.ndarray:
         indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+        p = periodicity_from_sampling(SamplingMatrix(q)).p
+        rim = max(math.exp(c.alpha * (math.sin(c.theta_r) - 1.0))
+                  for c in self.scenario.clusters)
+        cell = abs(np.linalg.det(p)) / (math.pi * self.kn.kappa ** 2)
+        if rim <= _RIM_MAX and cell <= _CELL_MAX:
+            return self._torus_lattice(p, indices)
         ext = np.vstack([indices, [[0, 0]]])
         return self._refine(lambda k, w: _lattice_wave_sum(q, ext, k, w))
+
+    def _torus_lattice(self, p: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """The lattice ACF as the Fourier series of the periodized spectrum.
+
+        With ``k = P theta`` and ``P.T Q = 2 pi I``, ``c(Q d)`` is the
+        ``d``-th Fourier coefficient of the in-plane density
+        ``S(k) = F(u) / k_z`` summed over its replicas ``k - P m`` (Poisson
+        summation, exact for any ``Q``).  A K x K trapezoid rule over the
+        cell gives every coefficient from one real FFT; it is the coefficient
+        plus its aliases ``d + K m``, so a K below the index span aliases
+        wherever the ACF has not decayed and fails the test between levels.
+        The cell is spanned by the reduced basis ``P U`` and centred on the
+        origin, which gathers ``d`` at ``U.T d mod K``.  K is the azimuth
+        count of each ``_ACF_LEVELS`` level, refined as the quadrature is.
+        """
+        kap = self.kn.kappa
+        u, v = _reduced_basis(p)
+        basis = np.column_stack([u, v])
+        gather = indices @ np.round(np.linalg.solve(p, basis)).astype(np.int64)
+        # replicas whose disk reaches the centred cell, whose corners are
+        # (+-u +- v)/2; a reduced basis bounds the candidates' coefficients
+        reach = kap + 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
+        lim = np.ceil(reach / (0.5 * math.sqrt(3.0) * np.linalg.norm(basis, axis=0)))
+        l1, l2 = np.meshgrid(np.arange(-lim[0], lim[0] + 1),
+                             np.arange(-lim[1], lim[1] + 1), indexing="ij")
+        offsets = np.column_stack([l1.ravel(), l2.ravel()]) @ basis.T
+        offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) < reach]
+
+        def level(nodes):
+            size = nodes[1]
+            theta = np.fft.fftfreq(size)
+            dens = np.zeros((size, size))
+            for o in offsets:  # one K x K set of temporaries at a time
+                kx = np.add.outer(theta * u[0], theta * v[0] - o[0])
+                ky = np.add.outer(theta * u[1], theta * v[1] - o[1])
+                rad2 = kx * kx + ky * ky
+                inside = rad2 < kap * kap
+                kz = np.sqrt(kap * kap - rad2[inside])
+                dirs = np.column_stack([kx[inside], ky[inside], kz]) / kap
+                dens[inside] += _factor_sq(self.scenario, dirs) / kz
+            coef = np.fft.rfft2(dens)
+            # c(e) is conj(coef[e]) for e2 <= K/2 and coef[-e] beyond
+            e = gather % size
+            flip = e[:, 1] > size // 2
+            e[flip] = -e[flip] % size
+            vals = coef[e[:, 0], e[:, 1]]
+            vals = np.where(flip, vals, vals.conj())
+            # real divisions, so that c(0) = coef[0, 0] / coef[0, 0] is exactly 1
+            vals.real /= coef[0, 0].real
+            vals.imag /= coef[0, 0].real
+            return vals
+
+        return refine(_ACF_LEVELS, level, _ACF_TOL, "autocorrelation torus sum")
 
 
 def acf_numeric(s: ScatteringScenario, r) -> complex:

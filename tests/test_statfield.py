@@ -25,7 +25,8 @@ from fieldsamp import (
     nyquist_rect,
     synthesize,
 )
-from fieldsamp import statfield
+from fieldsamp import cli, statfield
+from fieldsamp.analysis import _difference_box, _present_differences
 from fieldsamp.statfield import (
     _ACF_TOL,
     _draw_waves,
@@ -33,11 +34,40 @@ from fieldsamp.statfield import (
     _lattice_wave_sum,
     _plane_wave_sum,
 )
-from helpers import broadside_cluster, two_cluster_scenario
+from helpers import broadside_cluster, two_cluster_json, two_cluster_scenario, write_scenario
 
 LAM = 1.0
 KN = Wavenumber.from_wavelength(LAM)
 ISO = ScatteringScenario.isotropic(KN)
+HEX = nyquist_hex(KN).q
+
+
+def hex_differences(side):
+    """The index differences ``build_autocorr_matrix`` evaluates for a hex window."""
+    pts = enumerate_lattice(nyquist_hex(KN), Region(side=side * LAM))
+    _, shape = _difference_box(pts)
+    half = _present_differences(pts, shape)
+    return np.column_stack(np.divmod(half, shape[1])) - shape // 2
+
+
+def quadrature_lattice(acf, q, indices):
+    """The hemisphere quadrature over the index box, as rim spectra take it."""
+    ext = np.vstack([indices, [[0, 0]]])
+    return acf._refine(lambda k, w: _lattice_wave_sum(q, ext, k, w))
+
+
+@pytest.fixture
+def torus_calls(monkeypatch):
+    """Records the index count of every call that takes the torus FFT route."""
+    calls = []
+    real = NumericAcf._torus_lattice
+
+    def counting(self, p, indices):
+        calls.append(len(indices))
+        return real(self, p, indices)
+
+    monkeypatch.setattr(NumericAcf, "_torus_lattice", counting)
+    return calls
 
 
 class TestClarke:
@@ -106,6 +136,73 @@ class TestNumericAcf:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_eval_lattice_torus_stays_small(self, torus_calls):
+        # the directional-eigs table (two-cluster, hex L=12): the hemisphere
+        # quadrature's exponential tables over 32768-node chunks peaked at
+        # 47 MB, the torus route's K x K temporaries at about 6 MB
+        diffs = hex_differences(12.0)
+        acf = NumericAcf(two_cluster_scenario())
+        tracemalloc.start()
+        try:
+            acf.eval_lattice(HEX, diffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert torus_calls == [len(diffs)]
+        assert peak < 16 * 2**20
+
+    # at L=20, eval_many sees every 8th difference: all 2775 take it 20 s
+    @pytest.mark.parametrize("side, stride", [(8.0, 1), (20.0, 8)], ids=["L8", "L20"])
+    @pytest.mark.parametrize("s", [broadside_cluster(40.0), two_cluster_scenario()],
+                             ids=["zenith-40", "two-cluster"])
+    def test_torus_route_matches_eval_many(self, s, side, stride, torus_calls):
+        diffs = hex_differences(side)
+        acf = NumericAcf(s)
+        vals = acf.eval_lattice(HEX, diffs)
+        assert torus_calls == [len(diffs)]
+        check = slice(None, None, stride)
+        assert np.abs(vals[check] - acf.eval_many(diffs[check] @ HEX.T)).max() <= 1e-10
+
+    @pytest.mark.parametrize("s", [
+        ISO,
+        broadside_cluster(5.0),
+        ScatteringScenario(kn=KN, clusters=(VmfCluster(1.0, math.radians(60.0), 0.0, 20.0),)),
+    ], ids=["isotropic", "zenith-5", "tilted-60-alpha-20"])
+    def test_rim_spectra_keep_the_quadrature(self, s, torus_calls):
+        # power near the horizon: the 1/k_z rim singularity breaks the torus
+        # trapezoid rule (errors of order 1), so these stay on the quadrature;
+        # the isotropic case is the eigs --acf numeric table of that scenario
+        diffs = hex_differences(4.0)
+        acf = NumericAcf(s)
+        vals = acf.eval_lattice(HEX, diffs)
+        assert torus_calls == []
+        assert vals.tobytes() == quadrature_lattice(acf, HEX, diffs).tobytes()
+
+    def test_acf_command_lattice_keeps_the_quadrature(self, tmp_path, torus_calls):
+        # the lambda/16 lattice's reciprocal cell is 81 disk areas; a spectrum
+        # without rim power still stays on the quadrature there
+        scen = write_scenario(tmp_path / "s.json", two_cluster_json())
+        out = tmp_path / "out"
+        assert cli.main(["acf", "--scenario", scen, "--out", str(out)]) == 0
+        assert torus_calls == []
+        rows = np.loadtxt(out / "acf.csv", delimiter=",", skiprows=1)
+        step = 0.0625 * LAM
+        index = np.column_stack([np.arange(len(rows)), np.zeros(len(rows), dtype=int)])
+        ref = quadrature_lattice(NumericAcf(two_cluster_scenario()), step * np.eye(2), index)
+        assert np.array_equal(rows[:, 1], ref.real) and np.array_equal(rows[:, 2], ref.imag)
+
+    def test_zenith_table_at_paper_scale(self, torus_calls):
+        # hex L=60: the hemisphere quadrature stops at 6.5e-6 > _ACF_TOL and
+        # raises ConvergenceError; the torus route converges at K=512
+        diffs = hex_differences(60.0)
+        acf = NumericAcf(broadside_cluster(40.0))
+        vals = acf.eval_lattice(HEX, diffs)
+        assert torus_calls == [len(diffs)]
+        origin = np.flatnonzero(np.all(diffs == 0, axis=1))
+        assert len(origin) == 1 and vals[origin[0]] == 1.0 + 0.0j
+        near = np.abs(diffs).max(axis=1) <= 8
+        assert np.abs(vals[near] - acf.eval_many(diffs[near] @ HEX.T)).max() <= 1e-10
 
     def test_correlation_never_exceeds_unity(self):
         s = two_cluster_scenario()
