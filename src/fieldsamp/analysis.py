@@ -18,13 +18,12 @@ import numpy as np
 from .geometry import Region, SpectralSupport, TWO_PI, support_measure
 from .kernels import Kernel
 from .lattice import (
-    MIRRORS,
     LatticePointSet,
     SamplingMatrix,
-    _index_mirror,
+    _index_rows,
+    _mirror_group,
     alias_free,
     enumerate_lattice,
-    mirror_permutations,
 )
 from .scattering import ScatteringScenario
 from .statfield import Acf, FieldRealization, _draw_waves, _lattice_wave_sum
@@ -177,11 +176,11 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
 
     The matrix is never built whole.  Its mirror group ``G`` is made of the
     point reflection and the axis flips that map the point set onto itself
-    (``mirror_permutations``) and, for a real table, leave every evaluated
-    value unchanged within 1e-12.  Each character ``chi`` of ``G`` (a sign
-    per mirror) gives one real symmetric block over the orbit
-    representatives ``o`` whose stabiliser ``chi`` keeps, gathered straight
-    from the table:
+    and, for a real table, leave every evaluated value unchanged within
+    1e-12 (``lattice._mirror_group``, which also gives the characters and
+    orbits below).  Each character ``chi`` of ``G`` (a sign per mirror)
+    gives one real symmetric block over the orbit representatives ``o``
+    whose stabiliser ``chi`` keeps, gathered straight from the table:
     ``B[o, o'] = sum_g chi(g) c(r_o - g r_o') / sqrt(s_o s_o')``, where
     ``s`` is the stabiliser's size.  Rect and hex lattices under the sinc
     ACF give four blocks of about ``N/4``; a rotated ellipse or a sheared
@@ -222,28 +221,13 @@ def _mirror_blocks(points: LatticePointSet, table: np.ndarray, code: np.ndarray,
     def box(d):
         return d[:, 0] * shape[1] + d[:, 1] + centre
 
-    def keeps_table(name):
-        img = diffs @ _index_mirror(points.q, MIRRORS[name]).T
-        return np.abs(table[box(img)] - table[box(diffs)]).max() <= 1e-12
+    def keeps_table(_, m):
+        return np.abs(table[box(diffs @ m.T)] - table[box(diffs)]).max() <= 1e-12
 
-    perms = mirror_permutations(points)
     real = not np.iscomplexobj(table)
-    if real:
-        names = [name for name in ("rev", "x", "y") if name in perms and keeps_table(name)]
-    else:  # r -> -r conjugates a complex table; it gives the real form below
-        names = ["rev"] if "rev" in perms else []
-    group = np.stack([np.arange(len(points))] + [perms[name] for name in names])
-    signs = [np.diag(MIRRORS[name]) for name in names]
-    # the characters of G are those of {I, -I, Fx, Fy}, restricted to G
-    chars = sorted({(1,) + tuple(int(np.prod(sg ** e)) for sg in signs)
-                    for e in ((0, 0), (1, 0), (0, 1), (1, 1))}, reverse=True)
-    reps = np.flatnonzero(group.min(axis=0) == np.arange(len(points)))
-    fixed = group[:, reps] == reps
-    stab = fixed.sum(axis=0)
-
-    def rows(chi):  # the representatives whose stabiliser chi keeps
-        keep = np.all(~fixed | (np.array(chi)[:, None] == 1), axis=0)
-        return reps[keep], stab[keep]
+    # r -> -r conjugates a complex table; it gives the real form below
+    _, group, _, chars, parts = _mirror_group(
+        points, keeps_table if real else lambda flip, _: np.array_equal(flip, -np.eye(2)))
 
     def gather(r, c, chi):
         (ro, rs), (co, cs) = r, c
@@ -258,8 +242,7 @@ def _mirror_blocks(points: LatticePointSet, table: np.ndarray, code: np.ndarray,
         out *= (1.0 / np.sqrt(cs))[None, :]
         return out
 
-    parts = [rows(chi) for chi in chars]
-    if real or not names:
+    if real or len(group) == 1:
         return tuple(gather(p, p, chi) for p, chi in zip(parts, chars) if len(p[0]))
     plus, minus = parts
     k = len(plus[0])
@@ -524,7 +507,7 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
       ``f(x, 0)`` and ``f(0, y) / f(0, 0)`` between the grid axis and the
       sample axis; no 2-D row is built.
     - Otherwise the grid and the samples are symmetric through the origin,
-      and through each axis flip the lattice has (``mirror_permutations``).
+      and through each axis flip the lattice has (``lattice._mirror_group``).
       A mirror that also maps the kernel's support onto itself leaves the
       kernel unchanged, so the row at a mirrored grid point is the row at
       the point with the samples permuted.  With both axis flips (hex, an
@@ -607,14 +590,7 @@ def _rows_within(whole: LatticePointSet, part: LatticePointSet) -> np.ndarray | 
     """
     if part is whole:
         return None
-    lo = whole.indices.min(axis=0)
-    shape = whole.indices.max(axis=0) - lo + 1
-    where = np.full(shape, -1)
-    where[tuple((whole.indices - lo).T)] = np.arange(len(whole))
-    rel = part.indices - lo
-    inside = np.all((rel >= 0) & (rel < shape), axis=1)
-    found = np.full(len(part), -1)
-    found[inside] = where[tuple(rel[inside].T)]
+    found = _index_rows(whole.indices, part.indices)
     if np.any(found < 0):
         raise ValueError("a smaller region's lattice point is missing from the largest "
                          "region's lattice")
@@ -691,42 +667,37 @@ def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarr
 def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray):
     """Grid reconstruction from the interpolation rows left by the mirrors.
 
-    A mirror ``F`` of the point set (``mirror_permutations``) that also maps
-    the kernel's support onto itself leaves the kernel unchanged, and the
-    grid is mirror-symmetric too, so the row at grid point ``F g`` is the row
-    at ``g`` with the samples permuted.  With both axis flips only the
-    quadrant ``x, y <= 0`` is built, otherwise (a rotated ellipse, a sheared
-    ``Q``) the rows up to the grid centre; one product against the samples
-    and their permutations gives the whole grid.
+    A mirror ``F`` of the point set that also maps the kernel's support onto
+    itself leaves the kernel unchanged, and the grid is mirror-symmetric
+    too, so the row at grid point ``F g`` is the row at ``g`` with the
+    samples permuted.  These mirrors form a group (``_mirror_group``); with
+    four elements (both axis flips) only the quadrant ``x, y <= 0`` is
+    built, otherwise (a rotated ellipse, a sheared ``Q``) the rows up to the
+    grid centre; one product against the samples and their permutations
+    gives the whole grid.
     """
-    perms = mirror_permutations(pts)
     base = kern.support.to_base
 
-    def keeps_support(flip):  # F maps the support onto itself iff this is orthogonal
-        m = base @ flip @ np.linalg.inv(base)
-        return np.abs(m @ m.T - np.eye(2)).max() < 1e-12
+    def keeps_support(flip, _):  # F maps the support onto itself iff this is orthogonal
+        b = base @ flip @ np.linalg.inv(base)
+        return np.abs(b @ b.T - np.eye(2)).max() < 1e-12
 
+    names, group, signs, _, _ = _mirror_group(pts, keeps_support)
     size = len(axis)
     h = size // 2
-    if all(name in perms and keeps_support(MIRRORS[name]) for name in ("x", "y")):
+    if len(group) == 4:
         ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
-        names = ["rev", "x", "y"]
     else:
         ii, jj = np.divmod(np.arange((size * size + 1) // 2), size)
-        names = ["rev"]
     f = _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
-    for name in names:  # the last row built is the grid centre
-        _check_centre_row(f[-1], perms[name], "even" if name == "rev"
+    for name, perm in zip(names[1:], group[1:]):  # the last row built is the grid centre
+        _check_centre_row(f[-1], perm, "even" if name == "rev"
                           else f"invariant under the {name} flip of its support")
-    order = [np.arange(len(pts))] + [perms[name] for name in names]
-    dests = [ii * size + jj]
-    for name in names:
-        sx, sy = np.diag(MIRRORS[name]).astype(int)
-        dests.append((h + sx * (ii - h)) * size + h + sy * (jj - h))
+    dests = [(h + sx * (ii - h)) * size + h + sy * (jj - h) for sx, sy in signs]
 
     def recon(stacked):
         cols = stacked.shape[1]
-        both = f @ np.hstack([stacked[p] for p in order])
+        both = f @ np.hstack([stacked[p] for p in group])
         out = np.empty((size * size, cols))
         # the identity goes last, so it decides the rows a mirror maps onto themselves
         for k in reversed(range(len(dests))):

@@ -49,7 +49,7 @@ from .scattering import (
     support_area_at_threshold,
     support_at_threshold,
 )
-from .statfield import ClarkeAcf, FieldRealization, NumericAcf, synthesize
+from .statfield import _NODE_CHUNK, ClarkeAcf, FieldRealization, NumericAcf, synthesize
 
 
 class ConfigError(Exception):
@@ -242,6 +242,8 @@ def cmd_acf(args) -> dict:
     scenario = _load_scenario(args)
     lam = scenario.kn.wavelength
     n = int(round(args.rmax / args.step))
+    _check_memory(16.0 * (n + 1) * _NODE_CHUNK, f"--rmax {args.rmax:g}",
+                  "the quadrature's exponential table")
     rs = np.arange(n + 1) * args.step * lam
     disp = np.column_stack([rs, np.zeros_like(rs)])
     # the displacements are the 1-D lattice step*lambda*I at indices (m, 0)

@@ -222,17 +222,20 @@ MIRRORS = {
 }
 
 
-def _index_mirror(q: SamplingMatrix, flip: np.ndarray) -> np.ndarray | None:
-    """The integer matrix ``inv(Q) @ F @ Q`` by which a mirror ``F`` maps indices.
+def _index_rows(indices: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The row of ``indices`` holding each index of ``query``, -1 where none does.
 
-    ``None`` when ``F`` does not map the lattice of ``Q`` onto itself, that
-    is when the matrix is not an integer one (within 1e-9).
+    A dense array over the box of the indices' extent holds every row
+    number, so the rows may come in any order.
     """
-    m = np.linalg.solve(q.q, flip @ q.q)
-    mi = np.round(m)
-    if np.abs(m - mi).max() > 1e-9:
-        return None
-    return mi.astype(np.int64)
+    lo = indices.min(axis=0)
+    where = np.full(indices.max(axis=0) - lo + 1, -1)
+    where[tuple((indices - lo).T)] = np.arange(len(indices))
+    rel = query - lo
+    inside = np.all((rel >= 0) & (rel < where.shape), axis=1)
+    found = np.full(len(query), -1)
+    found[inside] = where[tuple(rel[inside].T)]
+    return found
 
 
 def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
@@ -242,29 +245,49 @@ def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
     (``r -> -r``) and the axis flips ``"x"`` (``x -> -x``) and ``"y"``
     (``y -> -y``) -- that maps the point set onto itself, ``perm[name]``
     satisfies ``positions[perm[name]] == positions @ F.T`` row for row, up to
-    round-off.  ``F`` maps the lattice onto itself iff ``inv(Q) @ F @ Q`` is
-    an integer matrix (``_index_mirror``), which then maps the indices.  The
-    point reflection always holds, and for a set from ``enumerate_lattice``
-    its permutation is ``N-1-i``.  Rect and hex lattices also have both
-    flips; a rotated ellipse lattice or a generic sheared ``Q`` has neither,
-    and a flip whose image leaves the set (a boundary point decided by
-    round-off) is not reported.  The rows must be ordered by ``(n2, n1)``.
+    round-off (``_mirror_group``).  The point reflection always holds, and
+    for a set from ``enumerate_lattice`` its permutation is ``N-1-i``.  Rect
+    and hex lattices also have both flips; a rotated ellipse lattice or a
+    generic sheared ``Q`` has neither, and a flip whose image leaves the set
+    (a boundary point decided by round-off) is not reported.
+    """
+    names, perms, _, _, _ = _mirror_group(points, lambda *_: True)
+    return dict(zip(names[1:], perms[1:]))
+
+
+def _mirror_group(points: LatticePointSet, keeps):
+    """The mirror group of a point set under the caller's invariance test.
+
+    A mirror ``F`` of ``MIRRORS`` maps the lattice onto itself iff
+    ``M = inv(Q) @ F @ Q`` is an integer matrix (within 1e-9), which then
+    maps the indices.  ``F`` joins the group when the images are rows of the
+    set (``_index_rows``) and ``keeps(F, M)`` holds.  Returns, identity
+    first and then in the order of ``MIRRORS``, each element's name, row
+    permutation and diagonal signs; the characters, those of
+    ``{I, -I, Fx, Fy}`` restricted to the group (a sign per element,
+    descending); and per character the orbit representatives (each orbit's
+    smallest row) whose stabiliser it keeps, with the stabilisers' sizes.
     """
     idx = points.indices.astype(np.int64)
-    lo = idx.min(axis=0)
-    width = idx[:, 0].max() - lo[0] + 1
-    code = (idx[:, 1] - lo[1]) * width + idx[:, 0] - lo[0]  # increasing in row order
-    perms = {}
+    names, perms = ["identity"], [np.arange(len(idx))]
     for name, flip in MIRRORS.items():
-        m = _index_mirror(points.q, flip)
-        if m is None:
+        m = np.linalg.solve(points.q.q, flip @ points.q.q)
+        if np.abs(m - np.round(m)).max() > 1e-9:
             continue
-        img = idx @ m.T
-        img_code = (img[:, 1] - lo[1]) * width + img[:, 0] - lo[0]
-        perm = np.minimum(np.searchsorted(code, img_code), len(code) - 1)
-        if np.array_equal(idx[perm], img):
-            perms[name] = perm
-    return perms
+        m = np.round(m).astype(np.int64)
+        perm = _index_rows(idx, idx @ m.T)
+        if perm.min() >= 0 and keeps(flip, m):
+            names.append(name)
+            perms.append(perm)
+    perms = np.stack(perms)
+    signs = np.array([(1, 1)] + [np.diag(MIRRORS[name]).astype(int) for name in names[1:]])
+    chars = sorted({tuple(int(np.prod(sg ** e)) for sg in signs)
+                    for e in ((0, 0), (1, 0), (0, 1), (1, 1))}, reverse=True)
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(len(idx)))
+    fixed = perms[:, reps] == reps
+    stab = fixed.sum(axis=0)
+    keep = [np.all(~fixed | (np.array(chi)[:, None] == 1), axis=0) for chi in chars]
+    return names, perms, signs, chars, [(reps[k], stab[k]) for k in keep]
 
 
 def _reduced_basis(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,22 +42,31 @@ def brute_force_disk_modes(rho):
     return count
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, env=None):
     """Run the CLI of the package these tests imported, in a subprocess.
 
     The directory ``fieldsamp`` was imported from goes first on the child's
     PYTHONPATH as an absolute path, so the child runs the same code whether it
     comes from ``src/`` or an installed copy, and a relative PYTHONPATH such as
     ``src`` cannot stop resolving under ``cwd``.  Empty parts are dropped: a
-    trailing separator would put ``cwd`` on the child's ``sys.path``.
+    trailing separator would put ``cwd`` on the child's ``sys.path``.  The
+    variables in ``env``, if given, override the inherited ones.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(fieldsamp.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "fieldsamp", *[str(a) for a in args]],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
+
+
+def shuffled_rows(points, seed=0):
+    """The same point set with its rows in a random order."""
+    order = np.random.default_rng(seed).permutation(len(points))
+    return fieldsamp.LatticePointSet(indices=points.indices[order],
+                                     positions=points.positions[order],
+                                     q=points.q, region=points.region)
 
 
 def write_scenario(path, data):

@@ -42,7 +42,7 @@ from fieldsamp import analysis
 from fieldsamp.analysis import _interp_matrix, _rows_within
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
-from helpers import brute_force_disk_modes, broadside_cluster
+from helpers import brute_force_disk_modes, broadside_cluster, shuffled_rows
 
 LAM = 1.0
 KN = Wavenumber.from_wavelength(LAM)
@@ -297,6 +297,7 @@ class TestEigenSpectrum:
     @pytest.mark.parametrize("name, acf, n_blocks", [
         ("rect", "clarke", 4),
         ("hex", "clarke", 4),
+        ("shuffled", "clarke", 4),  # the hex set with its rows in a random order
         ("rotated", "clarke", 2),  # the point reflection only
         ("sheared", "clarke", 2),
         ("two-point", "clarke", 1),  # the y flip alone, which fixes both points
@@ -317,6 +318,7 @@ class TestEigenSpectrum:
         pts = {
             "rect": lambda: enumerate_lattice(nyquist_rect(KN), side),
             "hex": lambda: enumerate_lattice(nyquist_hex(KN), side),
+            "shuffled": lambda: shuffled_rows(enumerate_lattice(nyquist_hex(KN), side)),
             "rotated": lambda: enumerate_lattice(nyquist_ellipse(KN, ROTATED), side),
             "sheared": lambda: enumerate_lattice(SHEARED, side),
             "two-point": _two_point_set,

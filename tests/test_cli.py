@@ -80,6 +80,8 @@ class TestUsage:
         ["dof", "--L", "4", "--support", "rect", "--phi-deg", "30"],
         # blocks larger than physical memory, rejected before the lattice is enumerated
         ["eigs", "--scheme", "hex", "--L", "100000"],
+        # quadrature tables larger than physical memory, rejected before any allocation
+        ["acf", "--rmax", "1e9"],
     ])
     def test_bad_flag_values_exit_two(self, args, tmp_path):
         write_scenario(tmp_path / "s.json", two_cluster_json())
@@ -309,3 +311,19 @@ class TestSidecars:
         assert cfg["L"] == 2.0
         assert cfg["version"]
         assert len(cfg["scenario_hash"]) == 64
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, scen40):
+        # eigs.csv does depend on it (README): the eigensolver's round-off does
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {"OPENBLAS_NUM_THREADS": threads}
+            for args in (["mse-sweep", "--scenario", scen40, "--L-list", "2,8",
+                          "--realizations", "16", "--n-waves", "128"],
+                         ["eigs", "--scheme", "hex", "--L", "20"]):
+                res = run_cli(args + ["--out", threads], tmp_path, env=env)
+                assert res.returncode == 0, res.stderr
+            outputs[threads] = [(tmp_path / threads / name).read_bytes()
+                                for name in ("mse_sweep.csv", "eigs_summary.json")]
+        assert outputs["1"] == outputs["2"]

@@ -24,7 +24,8 @@ from fieldsamp import (
     periodicity_from_sampling,
     sampling_from_periodicity,
 )
-from helpers import brute_force_lattice_count
+from fieldsamp.lattice import _index_rows
+from helpers import brute_force_lattice_count, shuffled_rows
 
 LAM = 1.0
 KN = Wavenumber.from_wavelength(LAM)
@@ -178,22 +179,29 @@ class TestEnumerate:
 
 
 class TestMirrorPermutations:
-    @pytest.mark.parametrize("q, flips", [
-        (nyquist_rect(KN), True),
-        (nyquist_hex(KN), True),
+    @pytest.mark.parametrize("q, flips, shuffle", [
+        (nyquist_rect(KN), True, False),
+        (nyquist_hex(KN), True, False),
+        # the mirrors do not depend on the order of the rows
+        (nyquist_hex(KN), True, True),
         # the same hex lattice in another basis keeps its flips
-        (SamplingMatrix(nyquist_hex(KN).q @ SHEAR), True),
-        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.0)), True),
-        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)), False),
+        (SamplingMatrix(nyquist_hex(KN).q @ SHEAR), True, False),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.0)), True, False),
+        (nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)), False, False),
         (SamplingMatrix(np.diag([0.5, 0.4])
-                        + np.random.default_rng(3).normal(scale=0.2, size=(2, 2))), False),
-    ], ids=["rect", "hex", "hex-sheared-basis", "ellipse", "rotated-ellipse", "random-sheared"])
-    def test_rows_map_onto_mirrored_points(self, q, flips):
+                        + np.random.default_rng(3).normal(scale=0.2, size=(2, 2))), False,
+         False),
+    ], ids=["rect", "hex", "hex-shuffled", "hex-sheared-basis", "ellipse", "rotated-ellipse",
+            "random-sheared"])
+    def test_rows_map_onto_mirrored_points(self, q, flips, shuffle):
         # side 7 puts rect points on the window's boundary
-        pts = enumerate_lattice(q, Region(side=7.0 * LAM))
+        ordered = enumerate_lattice(q, Region(side=7.0 * LAM))
+        pts = shuffled_rows(ordered) if shuffle else ordered
         perms = mirror_permutations(pts)
         assert sorted(perms) == (["rev", "x", "y"] if flips else ["rev"])
-        assert np.array_equal(perms["rev"], np.arange(len(pts))[::-1])
+        # ordered row i mirrors through the origin onto row N-1-i
+        row = _index_rows(pts.indices, ordered.indices)
+        assert np.array_equal(perms["rev"][row], row[::-1])
         for name, perm in perms.items():
             assert np.array_equal(np.sort(perm), np.arange(len(pts)))
             np.testing.assert_allclose(pts.positions[perm], pts.positions @ MIRRORS[name].T,
