@@ -516,12 +516,18 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
       ``Q``) the ``(G+1)//2`` rows up to the grid centre.  One product per
       block against the samples and their permutations gives the whole
       grid.
+    - Within the quadrant, when ``p`` grid steps along a grid axis make a
+      lattice vector ``Q m`` (hex: ``(0, wavelength)``, ``p = 8``), the row
+      ``p`` steps on is the row over the samples shifted by ``m``, so the
+      kernel is evaluated on ``p`` grid lines only and the other rows are
+      gathered from them (``_quadrant_rows``).
 
-    Summation orders differ between these builds, so figures agree with a
-    dense build to round-off, not bit for bit.  Every build checks its
-    centre row (for the 1-D factors, the rows at the grid centre) against
-    each mirror it uses within 1e-12, so a kernel that is not even, or not
-    invariant under a flip of its support, raises ``ValueError``.
+    Summation orders and the reused rows' kernel arguments differ from a
+    dense build by round-off, so figures agree with it to round-off, not
+    bit for bit.  Every build checks its centre row (for the 1-D factors,
+    the rows at the grid centre) against each mirror it uses within 1e-12,
+    so a kernel that is not even, or not invariant under a flip of its
+    support, raises ``ValueError``.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
@@ -672,9 +678,9 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     too, so the row at grid point ``F g`` is the row at ``g`` with the
     samples permuted.  These mirrors form a group (``_mirror_group``); with
     four elements (both axis flips) only the quadrant ``x, y <= 0`` is
-    built, otherwise (a rotated ellipse, a sheared ``Q``) the rows up to the
-    grid centre; one product against the samples and their permutations
-    gives the whole grid.
+    built (``_quadrant_rows``), otherwise (a rotated ellipse, a sheared
+    ``Q``) the rows up to the grid centre; one product against the samples
+    and their permutations gives the whole grid.
     """
     base = kern.support.to_base
 
@@ -687,9 +693,10 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     h = size // 2
     if len(group) == 4:
         ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
+        f = _quadrant_rows(kern, pts, axis)
     else:
         ii, jj = np.divmod(np.arange((size * size + 1) // 2), size)
-    f = _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
+        f = _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
     for name, perm in zip(names[1:], group[1:]):  # the last row built is the grid centre
         _check_centre_row(f[-1], perm, "even" if name == "rev"
                           else f"invariant under the {name} flip of its support")
@@ -705,3 +712,58 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
         return out
 
     return recon
+
+
+def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.ndarray:
+    """Interpolation rows on the grid quadrant ``x, y <= 0``, one grid period built.
+
+    Row ``i * (h+1) + j`` is at ``(axis[i], axis[j])``.  A row depends on
+    ``g - Q n`` alone, so when ``p`` grid steps along a grid axis make a
+    lattice vector ``t = Q m`` (hex: ``t = (0, wavelength)``, ``p = 8``), the
+    row at ``g + c t`` is the row at ``g`` over the samples ``n - c m``.  The
+    kernel is then evaluated only on the first ``p`` grid lines across that
+    axis, over the index set ``E``, the union of ``S - c m``, and every other
+    row is gathered from them.  Without such a ``p`` below the quadrant's
+    side, or when ``p |E|`` is no fewer kernel values than ``(h+1) |S|``, this
+    is ``_interp_matrix``, bit for bit.
+    """
+    h = len(axis) // 2
+    q = pts.q.q
+    # steps[p - 1, :, d] = inv(Q) t for p grid steps along axis d; a lattice
+    # vector when within 1e-9 of integers, the _mirror_group test
+    unit = np.linalg.solve(q, axis[-1] / max(h, 1) * np.eye(2))
+    steps = np.arange(1, h + 1)[:, None, None] * unit
+    hits = np.argwhere(np.all(np.abs(steps - np.round(steps)) <= 1e-9, axis=1))
+    if len(hits):
+        k, dim = hits[0]  # the smallest p, then the x axis first
+        p, m = k + 1, np.round(steps[k, :, dim]).astype(np.int64)
+        shifted = pts.indices[None] - np.arange(h // p + 1)[:, None, None] * m
+        shifted = shifted.reshape(-1, 2)
+        # E as sorted box codes (np.unique over rows would import numpy.ma)
+        lo, span = shifted.min(axis=0), np.ptp(shifted[:, 1]) + 1
+        code, picks = np.unique((shifted[:, 0] - lo[0]) * span + shifted[:, 1] - lo[1],
+                                return_inverse=True)
+    if not len(hits) or p * len(code) >= (h + 1) * len(pts):  # no fewer kernel values
+        ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
+        return _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
+    ext = np.column_stack(np.divmod(code, span)) + lo
+    ext_pos = ext @ q.T  # as enumerate_lattice computes positions
+    picks = picks.reshape(-1, len(pts))
+    # dest[a, o] and lines[a, o]: the row and the grid point at index a along
+    # the period axis and o across it
+    dest = np.arange((h + 1) ** 2).reshape(h + 1, h + 1)
+    if dim == 1:
+        dest = dest.T
+    lines = np.empty((p, h + 1, 2))
+    lines[..., dim], lines[..., 1 - dim] = axis[:p, None], axis[:h + 1]
+    f = np.empty(((h + 1) ** 2, len(pts)))
+    rows = max(1, _INTERP_ELEMS // len(ext))
+    # chunks across the lines outermost: with the period along y (hex) f then
+    # fills in row order, so its pages are not all touched while the kernel's
+    # temporaries are alive
+    for o0 in range(0, h + 1, rows):
+        for a in range(p):
+            table = kern(lines[a, o0:o0 + rows, None, :] - ext_pos[None, :, :])
+            for c in range((h - a) // p + 1):
+                f[dest[a + c * p, o0:o0 + rows]] = table[:, picks[c]]
+    return f

@@ -89,9 +89,11 @@ def _check_args(args) -> None:
 
 def _check_memory(need: float, what: str, held: str) -> None:
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
+    # the estimate leaves out the interpreter and the other temporaries, so
+    # half of physical memory stays free for them
+    if need > 0.5 * have:
         raise ConfigError(f"{what} needs about {need / 2**30:.3g} GiB for {held}, "
-                          f"above the {have / 2**30:.3g} GiB of physical memory")
+                          f"above half of the {have / 2**30:.3g} GiB of physical memory")
 
 
 def _load_scenario(args) -> ScatteringScenario:

@@ -61,6 +61,21 @@ def run_cli(args, cwd, env=None):
     )
 
 
+def counting_kernel(kern):
+    """The kernel with its ``fn`` wrapped to record each call's size.
+
+    Returns the wrapped kernel and the list that each call appends its
+    number of displacements to.
+    """
+    sizes = []
+
+    def fn(r):
+        sizes.append(r.size // 2)
+        return kern.fn(r)
+
+    return fieldsamp.Kernel(kern.support, kern.peak, fn=fn), sizes
+
+
 def shuffled_rows(points, seed=0):
     """The same point set with its rows in a random order."""
     order = np.random.default_rng(seed).permutation(len(points))

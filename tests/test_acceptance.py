@@ -33,7 +33,7 @@ from fieldsamp import (
     kernel_ellipse,
     kernel_oracle,
     kernel_rect,
-    mse_experiments,
+    mse_sweep,
     nyquist_ellipse,
     nyquist_hex,
     nyquist_rect,
@@ -210,10 +210,11 @@ def test_criterion_08_mse_sweep_properties():
         ("rect_half_lambda", nyquist_rect(KN), kernel_rect(KN)),
     ]
     curves = {name: [] for name, _, _ in schemes}
-    for side in (2.0, 4.0, 8.0, 16.0, 20.0):
-        reports = mse_experiments(s, [(q, kern) for _, q, kern in schemes],
-                                  Region(side=side * LAM),
-                                  n_realizations=500, seed=42, n_waves=512)
+    # one sweep draws and synthesizes each realization once for all sides
+    sweep = mse_sweep(s, [(q, kern) for _, q, kern in schemes],
+                      [Region(side=side * LAM) for side in (2.0, 4.0, 8.0, 16.0, 20.0)],
+                      n_realizations=500, seed=42, n_waves=512)
+    for reports in sweep:
         for (name, _, _), rep in zip(schemes, reports):
             curves[name].append(rep.normalized)
     for name, vals in curves.items():

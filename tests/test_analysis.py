@@ -39,10 +39,10 @@ from fieldsamp import (
     rotation_matrix,
 )
 from fieldsamp import analysis
-from fieldsamp.analysis import _interp_matrix, _rows_within
+from fieldsamp.analysis import _grid_half, _interp_matrix, _quadrant_rows, _rows_within
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
-from helpers import brute_force_disk_modes, broadside_cluster, shuffled_rows
+from helpers import brute_force_disk_modes, broadside_cluster, counting_kernel, shuffled_rows
 
 LAM = 1.0
 KN = Wavenumber.from_wavelength(LAM)
@@ -461,16 +461,10 @@ class TestReconstruct:
         assert np.array_equal(_interp_matrix(kern, query, samples), whole)
 
     def test_interp_matrix_calls_stay_within_element_budget(self):
-        kern = kernel_disk(KN)
-        sizes = []
-
-        def counting(r):
-            sizes.append(r.size // 2)
-            return kern.fn(r)
-
+        kern, sizes = counting_kernel(kernel_disk(KN))
         samples = enumerate_lattice(nyquist_hex(KN), Region(side=8.0 * LAM)).positions
         query = np.random.default_rng(1).uniform(-1.0, 1.0, (400, 2))
-        _interp_matrix(Kernel(kern.support, kern.peak, fn=counting), query, samples)
+        _interp_matrix(kern, query, samples)
         assert sum(sizes) == len(query) * len(samples)
         assert max(sizes) <= analysis._INTERP_ELEMS
 
@@ -585,15 +579,9 @@ class TestMseExperiment:
     def test_kernel_work_follows_lattice_structure(self, q, kern, path):
         # rect kernels on a full index box need their two 1-D factor tables;
         # with both axis flips the grid quadrant x, y <= 0; else half the grid
-        evaluated = []
-
-        def counting(r):
-            evaluated.append(r.size // 2)
-            return kern.fn(r)
-
+        counted, evaluated = counting_kernel(kern)
         region = Region(side=3.0 * LAM)
-        rep = mse_experiment(ISO, q, Kernel(kern.support, kern.peak, fn=counting),
-                             region, n_realizations=3, seed=5, n_waves=32)
+        rep = mse_experiment(ISO, q, counted, region, n_realizations=3, seed=5, n_waves=32)
         pts = enumerate_lattice(q, region)
         size = len(rep.axis)
         rows = {"quadrant": (size // 2 + 1) ** 2, "half": (size * size + 1) // 2}
@@ -656,6 +644,76 @@ class TestMseExperiment:
         with pytest.raises(ValueError):
             mse_experiment(ISO, nyquist_hex(KN), kernel_disk(KN),
                            Region(side=2.0), n_realizations=2, workers=0)
+
+
+def _quadrant_query(side):
+    """The MSE grid's axis at ``side`` and its quadrant points x, y <= 0, row by row."""
+    h = _grid_half(ISO, Region(side=side))
+    axis = LAM / 8 * np.arange(-h, h + 1)
+    ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
+    return axis, np.column_stack([axis[ii], axis[jj]])
+
+
+# the hex lattice turned by 90 degrees (whose period runs along x), and the
+# fitted support of criterion 08 and the benchmark, which has both flips but
+# no lattice vector a multiple of lambda/8 along a grid axis
+TURNED = EllipseShape(a1=1.0, a2=1.0, phi=0.5 * math.pi)
+FITTED = EllipseShape(a1=0.4658, a2=0.4658, phi=0.5 * math.pi)
+
+
+class TestQuadrantRows:
+    # hex repeats every 8 grid steps along y, lattice vector (0, lambda);
+    # ELLIPSE every 16, (0, 2 lambda); at 8 lambda the ELLIPSE quadrant has 17
+    # grid lines and reusing one would evaluate more than the dense build
+    @pytest.mark.parametrize("q, kern, side", [
+        (nyquist_hex(KN), kernel_disk(KN), 8.0),
+        (nyquist_hex(KN), kernel_disk(KN), 20.0),
+        (nyquist_ellipse(KN, ELLIPSE), kernel_ellipse(KN, ELLIPSE), 16.0),
+        (nyquist_ellipse(KN, ELLIPSE), kernel_ellipse(KN, ELLIPSE), 20.0),
+        (nyquist_ellipse(KN, TURNED), kernel_ellipse(KN, TURNED), 8.0),
+    ], ids=["hex-8", "hex-20", "ellipse-16", "ellipse-20", "hex-turned-8"])
+    def test_period_rows_match_dense(self, q, kern, side):
+        pts = enumerate_lattice(q, Region(side=side * LAM))
+        axis, query = _quadrant_query(side * LAM)
+        counted, sizes = counting_kernel(kern)
+        got = _quadrant_rows(counted, pts, axis)
+        want = _interp_matrix(kern, query, pts.positions)
+        # rows were reused, and no kernel call exceeds the element budget
+        assert sum(sizes) < want.size
+        assert max(sizes) <= analysis._INTERP_ELEMS
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("q, kern, side", [
+        (nyquist_ellipse(KN, FITTED), kernel_ellipse(KN, FITTED), 20.0),
+        (nyquist_hex(KN), kernel_disk(KN), 4.0),
+    ], ids=["fitted-ellipse-no-period", "hex-4-no-gain"])
+    def test_without_reuse_rows_are_dense(self, q, kern, side):
+        pts = enumerate_lattice(q, Region(side=side * LAM))
+        axis, query = _quadrant_query(side * LAM)
+        assert np.array_equal(_quadrant_rows(kern, pts, axis),
+                              _interp_matrix(kern, query, pts.positions))
+
+    def test_hex_kernel_work_is_one_period(self):
+        # p = 8 grid lines of 41 points over the 1760 indices n - c (1, -1),
+        # c = 0..5, against 1681 dense rows of 1415 samples
+        kern, sizes = counting_kernel(kernel_disk(KN))
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
+        axis, _ = _quadrant_query(20.0 * LAM)
+        _quadrant_rows(kern, pts, axis)
+        assert len(pts) == 1415 and len(axis) == 81
+        assert sum(sizes) == 8 * 41 * 1760 == 577280
+
+    def test_hex_mse_matches_dense_half_rows(self, monkeypatch):
+        s, region = broadside_cluster(40.0), Region(side=8.0 * LAM)
+        kwargs = dict(n_realizations=37, seed=17, n_waves=48)
+        got = mse_experiment(s, nyquist_hex(KN), kernel_disk(KN), region, **kwargs).pointwise
+        monkeypatch.setattr(analysis, "_add_squared_errors", _dense_half_squared_errors)
+        ref = mse_experiment(s, nyquist_hex(KN), kernel_disk(KN), region, **kwargs).pointwise
+        # where a grid point is a sample the sinc kernel reproduces it, and
+        # both MSEs are round-off that only compares in size
+        exact = ref < 1e-24
+        assert np.all(got[exact] < 1e-24)
+        np.testing.assert_allclose(got[~exact], ref[~exact], rtol=1e-12, atol=0.0)
 
 
 class TestMseSweep:

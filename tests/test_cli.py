@@ -3,6 +3,7 @@ where a failure has to be injected into the running process."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ class TestUsage:
         rc = cli.main(["mse-sweep", "--a1", "1", "--a2", "1", "--L-list", "2,100000",
                        "--out", str(out)])
         assert rc == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "config"
+        assert "physical memory" in doc["error"]
+        assert not out.exists()
+
+    def test_memory_guard_leaves_headroom(self, tmp_path, monkeypatch, capsys):
+        # --rmax 1000 needs about 7.81 GiB, just below 7.84 GiB of physical
+        # memory: the process would be killed before it finished
+        def never(*args, **kwargs):
+            raise AssertionError("called before the memory check")
+
+        page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(cli.os, "sysconf", lambda name: round(7.84 * 2**30 / page)
+                            if name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(cli.np, "arange", never)
+        monkeypatch.setattr(cli, "NumericAcf", never)
+        out = tmp_path / "out"
+        assert cli.main(["acf", "--rmax", "1000", "--out", str(out)]) == 2
         doc = json.loads(capsys.readouterr().err)
         assert doc["kind"] == "config"
         assert "physical memory" in doc["error"]
