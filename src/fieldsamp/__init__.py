@@ -72,7 +72,6 @@ from .analysis import (
     dof_loss_rect_vs_disk,
     eigen_spectrum,
     mse_experiment,
-    mse_experiments,
     mse_sweep,
     power_capture_count,
     reconstruct,

@@ -21,6 +21,7 @@ from .lattice import (
     LatticePointSet,
     SamplingMatrix,
     _index_rows,
+    _lattice_coords,
     _mirror_group,
     alias_free,
     enumerate_lattice,
@@ -41,7 +42,6 @@ __all__ = [
     "power_capture_count",
     "reconstruct",
     "mse_experiment",
-    "mse_experiments",
     "mse_sweep",
 ]
 
@@ -343,13 +343,10 @@ def power_capture_count(e: EigenSpectrum, fraction: float) -> int:
 
 
 def _check_on_lattice(positions: np.ndarray, q: SamplingMatrix) -> None:
-    n = positions @ np.linalg.inv(q.q).T
-    err = np.abs(n - np.round(n)).max() if len(n) else 0.0
-    if err > 1e-9:
-        raise ValueError(
-            f"sample positions do not lie on the lattice of the sampling matrix "
-            f"(max index residual {err:.3e})"
-        )
+    _, on = _lattice_coords(q.q, positions)
+    if not on.all():
+        raise ValueError(f"{np.count_nonzero(~on)} of {len(on)} sample positions do not "
+                         f"lie on the lattice of the sampling matrix")
 
 
 def _check_pairing(kern: Kernel, q: SamplingMatrix) -> None:
@@ -412,28 +409,14 @@ _MSE_GROUP = 128  # a multiple of _MSE_BLOCK, so blocks never straddle groups
 def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
                    region: Region, n_realizations: int = 500, seed: int = 42,
                    n_waves: int = 1024, workers: int = 1) -> MseReport:
-    """Monte Carlo reconstruction MSE of one sampling scheme.
+    """Monte Carlo reconstruction MSE of one sampling scheme on one region.
 
-    The one-scheme case of ``mse_experiments``, and so of ``mse_sweep``,
-    which documents the arguments, the evaluation grid and the substreams;
-    the report is the one they give for ``[(q, kern)]``, bit for bit.
+    The one-cell case of ``mse_sweep``, which documents the arguments, the
+    evaluation grid and the substreams; the report is the one it gives for
+    ``[(q, kern)]`` and ``[region]``, bit for bit.  Kept for the benchmark's replay.
     """
-    return mse_experiments(s, [(q, kern)], region, n_realizations=n_realizations,
-                           seed=seed, n_waves=n_waves, workers=workers)[0]
-
-
-def mse_experiments(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
-                    region: Region, n_realizations: int = 500, seed: int = 42,
-                    n_waves: int = 1024, workers: int = 1) -> list[MseReport]:
-    """Monte Carlo reconstruction MSE of several schemes on the same fields.
-
-    ``schemes`` is a sequence of ``(q, kern)`` pairs; one ``MseReport`` is
-    returned per pair, in order.  The one-region case of ``mse_sweep``,
-    which documents the arguments, the evaluation grid and the substreams;
-    the reports are the ones it gives for ``[region]``, bit for bit.
-    """
-    return mse_sweep(s, schemes, [region], n_realizations=n_realizations, seed=seed,
-                     n_waves=n_waves, workers=workers)[0]
+    return mse_sweep(s, [(q, kern)], [region], n_realizations=n_realizations, seed=seed,
+                     n_waves=n_waves, workers=workers)[0][0]
 
 
 def _grid_half(s: ScatteringScenario, region: Region) -> int:
@@ -691,11 +674,11 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     names, group, signs, _, _ = _mirror_group(pts, keeps_support)
     size = len(axis)
     h = size // 2
-    if len(group) == 4:
-        ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
-        f = _quadrant_rows(kern, pts, axis)
-    else:
-        ii, jj = np.divmod(np.arange((size * size + 1) // 2), size)
+    quadrant = len(group) == 4  # else the rows up to the grid centre
+    width = h + 1 if quadrant else size
+    ii, jj = np.divmod(np.arange(width ** 2 if quadrant else (size * size + 1) // 2), width)
+    f = _quadrant_rows(kern, pts, axis) if quadrant else None
+    if f is None:  # every row from the kernel
         f = _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
     for name, perm in zip(names[1:], group[1:]):  # the last row built is the grid centre
         _check_centre_row(f[-1], perm, "even" if name == "rev"
@@ -714,7 +697,7 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     return recon
 
 
-def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.ndarray:
+def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.ndarray | None:
     """Interpolation rows on the grid quadrant ``x, y <= 0``, one grid period built.
 
     Row ``i * (h+1) + j`` is at ``(axis[i], axis[j])``.  A row depends on
@@ -722,38 +705,34 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     lattice vector ``t = Q m`` (hex: ``t = (0, wavelength)``, ``p = 8``), the
     row at ``g + c t`` is the row at ``g`` over the samples ``n - c m``.  The
     kernel is then evaluated only on the first ``p`` grid lines across that
-    axis, over the index set ``E``, the union of ``S - c m``, and every other
-    row is gathered from them.  Without such a ``p`` below the quadrant's
-    side, or when ``p |E|`` is no fewer kernel values than ``(h+1) |S|``, this
-    is ``_interp_matrix``, bit for bit.
+    axis, line ``a`` over the part of the index set ``E``, the union of
+    ``S - c m``, that its shifts ``c <= (h - a) // p`` gather from, and every
+    other row is gathered from them.  None without such a ``p`` below the
+    quadrant's side, or when ``p |E|`` is no fewer kernel values than
+    ``(h+1) |S|``.
     """
     h = len(axis) // 2
-    q = pts.q.q
-    # steps[p - 1, :, d] = inv(Q) t for p grid steps along axis d; a lattice
-    # vector when within 1e-9 of integers, the _mirror_group test
-    unit = np.linalg.solve(q, axis[-1] / max(h, 1) * np.eye(2))
-    steps = np.arange(1, h + 1)[:, None, None] * unit
-    hits = np.argwhere(np.all(np.abs(steps - np.round(steps)) <= 1e-9, axis=1))
-    if len(hits):
-        k, dim = hits[0]  # the smallest p, then the x axis first
-        p, m = k + 1, np.round(steps[k, :, dim]).astype(np.int64)
-        shifted = pts.indices[None] - np.arange(h // p + 1)[:, None, None] * m
-        shifted = shifted.reshape(-1, 2)
-        # E as sorted box codes (np.unique over rows would import numpy.ma)
-        lo, span = shifted.min(axis=0), np.ptp(shifted[:, 1]) + 1
-        code, picks = np.unique((shifted[:, 0] - lo[0]) * span + shifted[:, 1] - lo[1],
-                                return_inverse=True)
-    if not len(hits) or p * len(code) >= (h + 1) * len(pts):  # no fewer kernel values
-        ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
-        return _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
-    ext = np.column_stack(np.divmod(code, span)) + lo
-    ext_pos = ext @ q.T  # as enumerate_lattice computes positions
-    picks = picks.reshape(-1, len(pts))
+    # steps[p - 1, d]: p grid steps along axis d, the smallest p first, then x
+    steps = axis[-1] / max(h, 1) * np.arange(1, h + 1)[:, None, None] * np.eye(2)
+    coords, on = _lattice_coords(pts.q.q, steps)
+    if not on.any():
+        return None
+    k, dim = np.argwhere(on)[0]
+    p, m = k + 1, coords[k, dim]
+    shifted = (pts.indices[None] - np.arange(h // p + 1)[:, None, None] * m).reshape(-1, 2)
+    # E in first-appearance order; 1-D codes sort about 20 times faster than np.unique(axis=0)
+    span = np.ptp(shifted[:, 1]) + 1
+    first = np.sort(np.unique(shifted[:, 0] * span + shifted[:, 1], return_index=True)[1])
+    if p * len(first) >= (h + 1) * len(pts):  # no fewer kernel values
+        return None
+    ext = shifted[first]
+    ext_pos = ext @ pts.q.q.T  # as enumerate_lattice computes positions
+    picks = _index_rows(ext, shifted).reshape(-1, len(pts))
+    # line a serves the shifts c <= (h - a) // p, which gather from E[:ends[a]]
+    ends = np.searchsorted(first, len(pts) * ((h - np.arange(p)) // p + 1))
     # dest[a, o] and lines[a, o]: the row and the grid point at index a along
     # the period axis and o across it
-    dest = np.arange((h + 1) ** 2).reshape(h + 1, h + 1)
-    if dim == 1:
-        dest = dest.T
+    dest = np.arange((h + 1) ** 2).reshape(h + 1, h + 1).transpose(dim, 1 - dim)
     lines = np.empty((p, h + 1, 2))
     lines[..., dim], lines[..., 1 - dim] = axis[:p, None], axis[:h + 1]
     f = np.empty(((h + 1) ** 2, len(pts)))
@@ -763,7 +742,7 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     # temporaries are alive
     for o0 in range(0, h + 1, rows):
         for a in range(p):
-            table = kern(lines[a, o0:o0 + rows, None, :] - ext_pos[None, :, :])
+            table = kern(lines[a, o0:o0 + rows, None, :] - ext_pos[None, :ends[a], :])
             for c in range((h - a) // p + 1):
                 f[dest[a + c * p, o0:o0 + rows]] = table[:, picks[c]]
     return f

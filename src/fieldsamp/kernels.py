@@ -171,7 +171,7 @@ class Kernel:
     ``f(-r) = f(r)``; a support that an axis flip maps onto itself makes
     the kernel invariant under that flip too.  A ``"rect"`` support is
     taken to give a separable kernel, ``f(x, y) = f(x, 0) f(0, y) / peak``.
-    ``mse_experiment`` relies on all three; it checks evenness and flip
+    ``mse_sweep`` relies on all three; it checks evenness and flip
     invariance at the sample positions, but not separability.
     """
 

@@ -238,6 +238,17 @@ def _index_rows(indices: np.ndarray, query: np.ndarray) -> np.ndarray:
     return found
 
 
+def _lattice_coords(q: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest integer coordinates ``n`` of each vector (last axis) in the basis ``Q``.
+
+    And per vector whether it is the lattice vector ``Q n``: each coordinate within 1e-9.
+    """
+    x = np.asarray(vectors, dtype=float) @ np.linalg.inv(q).T
+    n = np.round(x)
+    with np.errstate(invalid="ignore"):  # a non-finite vector is off the lattice
+        return n.astype(np.int64), np.all(np.abs(x - n) <= 1e-9, axis=-1)
+
+
 def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
     """Row permutations of a point set under the mirrors that keep it whole.
 
@@ -259,24 +270,23 @@ def _mirror_group(points: LatticePointSet, keeps):
     """The mirror group of a point set under the caller's invariance test.
 
     A mirror ``F`` of ``MIRRORS`` maps the lattice onto itself iff
-    ``M = inv(Q) @ F @ Q`` is an integer matrix (within 1e-9), which then
-    maps the indices.  ``F`` joins the group when the images are rows of the
-    set (``_index_rows``) and ``keeps(F, M)`` holds.  Returns, identity
+    ``M = inv(Q) @ F @ Q`` is an integer matrix (``_lattice_coords``), which
+    then maps the indices.  ``F`` joins the group when the images are rows of
+    the set (``_index_rows``) and ``keeps(F, M)`` holds.  Returns, identity
     first and then in the order of ``MIRRORS``, each element's name, row
     permutation and diagonal signs; the characters, those of
     ``{I, -I, Fx, Fy}`` restricted to the group (a sign per element,
     descending); and per character the orbit representatives (each orbit's
     smallest row) whose stabiliser it keeps, with the stabilisers' sizes.
     """
-    idx = points.indices.astype(np.int64)
+    idx, q = points.indices.astype(np.int64), points.q.q
     names, perms = ["identity"], [np.arange(len(idx))]
     for name, flip in MIRRORS.items():
-        m = np.linalg.solve(points.q.q, flip @ points.q.q)
-        if np.abs(m - np.round(m)).max() > 1e-9:
+        mt, on = _lattice_coords(q, (flip @ q).T)  # the rows of M.T
+        if not on.all():
             continue
-        m = np.round(m).astype(np.int64)
-        perm = _index_rows(idx, idx @ m.T)
-        if perm.min() >= 0 and keeps(flip, m):
+        perm = _index_rows(idx, idx @ mt)
+        if perm.min() >= 0 and keeps(flip, mt.T):
             names.append(name)
             perms.append(perm)
     perms = np.stack(perms)

@@ -27,7 +27,7 @@ import numpy as np
 from ._io import write_csv, write_json
 from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, Wavenumber
-from .lattice import SamplingMatrix, _reduced_basis, periodicity_from_sampling
+from .lattice import SamplingMatrix, _lattice_coords, _reduced_basis, periodicity_from_sampling
 from .scattering import ScatteringScenario, _factor_sq
 
 __all__ = [
@@ -176,7 +176,7 @@ class NumericAcf(Acf):
         kap = self.kn.kappa
         u, v = _reduced_basis(p)
         basis = np.column_stack([u, v])
-        gather = indices @ np.round(np.linalg.solve(p, basis)).astype(np.int64)
+        gather = indices @ _lattice_coords(p, basis.T)[0].T
         # replicas whose disk reaches the centred cell, whose corners are
         # (+-u +- v)/2; a reduced basis bounds the candidates' coefficients
         reach = kap + 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))

@@ -52,11 +52,16 @@ def run_cli(args, cwd, env=None):
     trailing separator would put ``cwd`` on the child's ``sys.path``.  The
     variables in ``env``, if given, override the inherited ones.
     """
+    return run_python(["-m", "fieldsamp", *args], cwd, env)
+
+
+def run_python(args, cwd, env=None):
+    """Run the interpreter on ``args`` in a subprocess, importing as ``run_cli`` does."""
     env = {**os.environ, **(env or {})}
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(fieldsamp.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "fieldsamp", *[str(a) for a in args]],
+        [sys.executable, *[str(a) for a in args]],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
 

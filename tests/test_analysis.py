@@ -29,7 +29,6 @@ from fieldsamp import (
     kernel_ellipse,
     kernel_rect,
     mse_experiment,
-    mse_experiments,
     mse_sweep,
     nyquist_ellipse,
     nyquist_hex,
@@ -39,7 +38,13 @@ from fieldsamp import (
     rotation_matrix,
 )
 from fieldsamp import analysis
-from fieldsamp.analysis import _grid_half, _interp_matrix, _quadrant_rows, _rows_within
+from fieldsamp.analysis import (
+    _grid_half,
+    _interp_matrix,
+    _mirrored_reconstruction,
+    _quadrant_rows,
+    _rows_within,
+)
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster, counting_kernel, shuffled_rows
@@ -60,7 +65,7 @@ ROTATED = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
 # with the point reflection as its only mirror
 SHEARED = SamplingMatrix(0.8 * nyquist_hex(KN).q
                          @ (np.eye(2) + 0.3 * np.random.default_rng(0).standard_normal((2, 2))))
-# each scheme with the interpolation build it takes in mse_experiments
+# each scheme with the interpolation build it takes in mse_sweep
 STRUCTURED = [
     pytest.param(nyquist_rect(KN), kernel_rect(KN), "separable", id="rect_half_lambda"),
     pytest.param(nyquist_rect(Wavenumber.from_wavelength(LAM / 0.8)),
@@ -413,6 +418,18 @@ class TestReconstruct:
                                  0, 1, "h")
         with pytest.raises(ValueError, match="lattice"):
             reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)])
+        # one sample of a lattice point set moved 1e-6 wavelengths
+        pts = enumerate_lattice(q, Region(side=4.0 * LAM))
+        moved = pts.positions.copy()
+        moved[7, 0] += 1e-6 * LAM
+        field = FieldRealization(moved, np.ones(len(pts), dtype=complex), 0, 1, "h")
+        with pytest.raises(ValueError, match="1 of .* not lie on the lattice"):
+            reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)])
+        # a non-finite position is off the lattice too, without a cast warning
+        moved[7, 0] = np.nan
+        field = FieldRealization(moved, np.ones(len(pts), dtype=complex), 0, 1, "h")
+        with pytest.raises(ValueError, match="1 of .* not lie on the lattice"):
+            reconstruct(field, q, kernel_disk(KN), [(0.0, 0.0)])
 
     def test_aliasing_pairing_rejected(self):
         for q in ALIASING_FOR_DISK:
@@ -526,7 +543,7 @@ class TestMseExperiment:
         # 32 gives two groups, the second a partial block
         for group in (analysis._MSE_GROUP, 32):
             monkeypatch.setattr(analysis, "_MSE_GROUP", group)
-            shared = mse_experiments(s, schemes, region, **kwargs)
+            shared = mse_sweep(s, schemes, [region], **kwargs)[0]
             assert len(shared) == len(schemes)
             for a, b in zip(shared, separate):
                 assert np.array_equal(a.pointwise, b.pointwise)
@@ -541,8 +558,8 @@ class TestMseExperiment:
 
         monkeypatch.setattr(analysis, "_draw_waves", counting)
         schemes = [(nyquist_rect(KN), kernel_rect(KN)), (nyquist_hex(KN), kernel_disk(KN))]
-        mse_experiments(ISO, schemes, Region(side=2.0 * LAM), n_realizations=19,
-                        seed=2, n_waves=16)
+        mse_sweep(ISO, schemes, [Region(side=2.0 * LAM)], n_realizations=19,
+                  seed=2, n_waves=16)
         assert len(calls) == 19
 
     def test_mismatched_last_scheme_fails_before_drawing(self, monkeypatch):
@@ -551,8 +568,8 @@ class TestMseExperiment:
         for q in ALIASING_FOR_DISK:
             schemes = [(nyquist_hex(KN), kernel_disk(KN)), (q, kernel_disk(KN))]
             with pytest.raises(ValueError, match="replicas overlap"):
-                mse_experiments(ISO, schemes, Region(side=2.0), n_realizations=2,
-                                n_waves=16)
+                mse_sweep(ISO, schemes, [Region(side=2.0)], n_realizations=2,
+                          n_waves=16)
         assert not calls
 
     @pytest.mark.parametrize("q, kern, path", STRUCTURED)
@@ -690,18 +707,25 @@ class TestQuadrantRows:
     def test_without_reuse_rows_are_dense(self, q, kern, side):
         pts = enumerate_lattice(q, Region(side=side * LAM))
         axis, query = _quadrant_query(side * LAM)
-        assert np.array_equal(_quadrant_rows(kern, pts, axis),
-                              _interp_matrix(kern, query, pts.positions))
+        assert _quadrant_rows(kern, pts, axis) is None
+        # against unit samples, the identity's part of the reconstruction is
+        # the quadrant rows themselves, which the kernel then builds densely
+        recon = _mirrored_reconstruction(kern, pts, axis)
+        h = len(axis) // 2
+        ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
+        rows = recon(np.eye(len(pts)))[ii * len(axis) + jj]
+        assert np.array_equal(rows, _interp_matrix(kern, query, pts.positions))
 
     def test_hex_kernel_work_is_one_period(self):
-        # p = 8 grid lines of 41 points over the 1760 indices n - c (1, -1),
-        # c = 0..5, against 1681 dense rows of 1415 samples
+        # p = 8 grid lines of 41 points, against 1681 dense rows of 1415
+        # samples: line 0 serves the shifts c = 0..5 over all 1760 indices
+        # n - c (1, -1), lines 1..7 serve c = 0..4 over the first 1691
         kern, sizes = counting_kernel(kernel_disk(KN))
         pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
         axis, _ = _quadrant_query(20.0 * LAM)
         _quadrant_rows(kern, pts, axis)
         assert len(pts) == 1415 and len(axis) == 81
-        assert sum(sizes) == 8 * 41 * 1760 == 577280
+        assert sum(sizes) == 41 * (1760 + 7 * 1691) == 557477
 
     def test_hex_mse_matches_dense_half_rows(self, monkeypatch):
         s, region = broadside_cluster(40.0), Region(side=8.0 * LAM)
@@ -748,7 +772,7 @@ class TestMseSweep:
         s = broadside_cluster(40.0)
         kwargs = dict(n_realizations=37, seed=13, n_waves=48)
         regions = [Region(side=v * LAM) for v in self.SIDES]
-        separate = [mse_experiments(s, self.SCHEMES, r, **kwargs) for r in regions]
+        separate = [mse_sweep(s, self.SCHEMES, [r], **kwargs)[0] for r in regions]
         # 32 gives two groups, the second a partial block
         for group in (analysis._MSE_GROUP, 32):
             monkeypatch.setattr(analysis, "_MSE_GROUP", group)

@@ -19,7 +19,7 @@ from fieldsamp import (
     support_at_threshold,
 )
 from fieldsamp import cli
-from helpers import broadside_json, run_cli, two_cluster_json, write_scenario
+from helpers import broadside_json, run_cli, run_python, two_cluster_json, write_scenario
 
 KN = Wavenumber.from_wavelength(1.0)
 
@@ -318,6 +318,28 @@ class TestMseSweep:
         schemes = [row.split(",")[1] for row in lines[1:]]
         assert schemes == ["ellipse_nyquist", "rect_matched", "hex",
                            "rect_half_lambda"]
+
+
+class TestImports:
+    def test_runs_leave_numpy_ma_unimported(self, tmp_path, scen40):
+        # np.unique without an index output imports numpy.ma (numpy 2.x), about
+        # 1 MB of traced memory; at 8 wavelengths the hex quadrant rows take
+        # the period build, whose np.unique asks for the first indices
+        code = "\n".join([
+            "import sys",
+            "from fieldsamp import cli",
+            f"assert cli.main(['mse-sweep', '--scenario', {scen40!r}, '--L-list', '2,8',"
+            " '--realizations', '2', '--n-waves', '16', '--out', 'm']) == 0",
+            "assert cli.main(['eigs', '--scheme', 'hex', '--L', '4', '--acf', 'numeric',"
+            f" '--scenario', {scen40!r}, '--out', 'e']) == 0",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        res = run_python(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"]
+        probe = run_python(["-c", "import sys, numpy as np; np.unique(np.zeros((3, 2)), axis=0);"
+                            " print('numpy.ma' in sys.modules)"], tmp_path)
+        assert probe.stdout.split() == ["True"]
 
 
 class TestSidecars:

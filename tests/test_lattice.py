@@ -24,7 +24,7 @@ from fieldsamp import (
     periodicity_from_sampling,
     sampling_from_periodicity,
 )
-from fieldsamp.lattice import _index_rows
+from fieldsamp.lattice import _index_rows, _lattice_coords
 from helpers import brute_force_lattice_count, shuffled_rows
 
 LAM = 1.0
@@ -206,6 +206,28 @@ class TestMirrorPermutations:
             assert np.array_equal(np.sort(perm), np.arange(len(pts)))
             np.testing.assert_allclose(pts.positions[perm], pts.positions @ MIRRORS[name].T,
                                        rtol=0.0, atol=1e-12)
+
+
+class TestLatticeCoords:
+    def test_rows_of_vectors(self):
+        # 1e-10 off in index coordinates is a lattice vector, 1e-8 off is not
+        q = nyquist_hex(KN).q
+        n = np.array([[0, 0], [-5, 7], [2, -1], [2, -1], [2, -1], [2, -1]])
+        dn = np.zeros((6, 2))
+        dn[2:] = [[1e-10, 0.0], [0.0, -1e-10], [1e-8, 0.0], [1e-10, -1e-8]]
+        got, on = _lattice_coords(q, (n + dn) @ q.T)
+        assert got.dtype == np.int64 and np.array_equal(got, n)
+        assert on.tolist() == [True, True, True, True, False, False]
+
+    def test_stacked_vectors(self):
+        # p grid steps of lambda/8 along each axis, one flag per vector: on
+        # hex only 8 steps along y, (0, lambda) = Q (1, -1), is a lattice vector
+        q = nyquist_hex(KN).q
+        steps = np.arange(1, 9)[:, None, None] * (LAM / 8 * np.eye(2))
+        got, on = _lattice_coords(q, steps)
+        assert got.shape == (8, 2, 2) and on.shape == (8, 2)
+        assert np.argwhere(on).tolist() == [[7, 1]]
+        assert np.array_equal(got[7, 1], [1, -1])
 
 
 class TestAliasFree:
