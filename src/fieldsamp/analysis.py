@@ -109,7 +109,8 @@ class AutocorrMatrix:
     The full matrix ``entries[i, j] = c(r_i - r_j)`` is Hermitian with a
     unit diagonal and, up to round-off, positive semidefinite.  It is kept
     as ``table``, the ACF's values over the box of index differences
-    (``_difference_box``), and as ``blocks``, real symmetric (or, with no
+    (``_difference_box``), zero outside the doubled window where no pair
+    difference lies, and as ``blocks``, real symmetric (or, with no
     mirror at all and a complex ACF, complex Hermitian) matrices whose
     direct sum is unitarily similar to it: the eigenvalues of all blocks
     together are those of the full matrix.  ``build_autocorr_matrix`` explains how
@@ -162,13 +163,13 @@ def _difference_box(points: LatticePointSet):
 def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     """Autocorrelation matrix over all pairs of lattice points, as mirror blocks.
 
-    The ACF is evaluated once, on the index differences present in the
-    point set that lie in the upper half of their box (``d``
-    lexicographically at least 0), so each +/- pair costs one evaluation;
-    the mirrored half of the box follows from ``c(-r) = conj c(r)``.  The
-    present differences are found by an FFT autocorrelation of the point
-    set's indicator over its index box, without forming the ``N^2`` pairs.
-    The differences reach the ACF as integer indices through
+    The ACF is evaluated once, on the index differences ``d`` in the upper
+    half of their box (``d`` lexicographically at least 0) whose
+    displacement lies in the doubled window, ``|Q d|_inf <= L``, so each
+    +/- pair costs one evaluation; the mirrored half of the box follows
+    from ``c(-r) = conj c(r)``.  Every pair difference ``n_i - n_j`` is
+    among them, since both points lie in the window, and the ``N^2`` pairs
+    are never formed.  The differences reach the ACF as integer indices through
     ``acf.eval_lattice(Q, d)``, so a quadrature ACF can factor its phases
     over the box (``NumericAcf``); other ACFs see the displacements ``Q d``.
     When every evaluated value is real (as for the isotropic sinc ACF) the
@@ -192,8 +193,11 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     """
     code, shape = _difference_box(points)
     size = shape.prod()
-    half = _present_differences(points, shape)
+    half = np.arange((size - 1) // 2, size)
     diffs = np.column_stack(np.divmod(half, shape[1])) - shape // 2
+    # the window test of LatticePointSet, doubled
+    inside = np.abs(diffs @ points.q.q.T).max(axis=1) <= points.region.side * (1.0 + 1e-9)
+    half, diffs = half[inside], diffs[inside]
     vals = np.asarray(acf.eval_lattice(points.q.q, diffs))
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -222,7 +226,10 @@ def _mirror_blocks(points: LatticePointSet, table: np.ndarray, code: np.ndarray,
         return d[:, 0] * shape[1] + d[:, 1] + centre
 
     def keeps_table(_, m):
-        return np.abs(table[box(diffs @ m.T)] - table[box(diffs)]).max() <= 1e-12
+        image = diffs @ m.T
+        # a window difference may map out of the box, but no pair difference does
+        inside = np.all(np.abs(image) <= shape // 2, axis=1)
+        return np.abs(table[box(image[inside])] - table[box(diffs[inside])]).max() <= 1e-12
 
     real = not np.iscomplexobj(table)
     # r -> -r conjugates a complex table; it gives the real form below
@@ -264,24 +271,6 @@ def _autocorr_peak_bytes(n_points: float, real: bool) -> float:
     form of order ``N``: ``16 N^2``.  The ACF's own work is not counted.
     """
     return (6.0 if real else 16.0) * n_points ** 2
-
-
-def _present_differences(points: LatticePointSet, shape: np.ndarray) -> np.ndarray:
-    """Box positions of the index differences present, in the upper half of the box.
-
-    The number of pairs with difference ``d`` is the autocorrelation of the
-    points' indicator over their index box, computed by FFT over the
-    difference box itself, which is large enough that no lag wraps around.
-    """
-    idx = points.indices.astype(np.int64)
-    ind = np.zeros(tuple(shape))
-    ind[tuple((idx - idx.min(axis=0)).T)] = 1.0
-    spec = np.fft.rfft2(ind)
-    pairs = np.fft.irfft2(spec * spec.conj(), s=tuple(shape))
-    # lag d sits at d mod shape; roll it to d + span, the box's own order
-    present = np.roll(pairs, tuple(shape // 2), axis=(0, 1)).ravel() > 0.5
-    centre = (present.size - 1) // 2
-    return np.flatnonzero(present[centre:]) + centre
 
 
 @dataclass(frozen=True)
@@ -484,11 +473,11 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     The interpolation matrix is never built whole; each scheme's lattice
     structure decides how much of it is evaluated:
 
-    - A rect support on a diagonal ``Q`` whose points fill their index box
-      (``rect_matched``, ``rect_half_lambda``) reconstructs each block by
-      two small products with the kernel's 1-D factors,
+    - A rect support on a diagonal ``Q`` (``rect_matched``,
+      ``rect_half_lambda``), whose points fill their index box, reconstructs
+      each block by two small products with the kernel's 1-D factors,
       ``f(x, 0)`` and ``f(0, y) / f(0, 0)`` between the grid axis and the
-      sample axis; no 2-D row is built.
+      sample axis; the only 2-D row built checks the factorization.
     - Otherwise the grid and the samples are symmetric through the origin,
       and through each axis flip the lattice has (``lattice._mirror_group``).
       A mirror that also maps the kernel's support onto itself leaves the
@@ -509,11 +498,16 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     dense build by round-off, so figures agree with it to round-off, not
     bit for bit.  Every build checks its centre row (for the 1-D factors,
     the rows at the grid centre) against each mirror it uses within 1e-12,
-    so a kernel that is not even, or not invariant under a flip of its
-    support, raises ``ValueError``.
+    and the separable build checks its factors' product against the kernel
+    at one grid point off both axes within 1e-12 relative, so a kernel that
+    is not even, not invariant under a flip of its support, or not separable
+    on a rect support raises ``ValueError``.  Every kernel value comes from
+    ``_interp_matrix``, in row chunks of at most 32768 values.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
+    if n_waves < 1:
+        raise ValueError(f"n_waves must be positive, got {n_waves!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
     if not regions:
@@ -604,10 +598,8 @@ def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
     the group's fields at ``pts`` and ``truth`` on the whole grid, one column
     per realization.
     """
-    box = np.ptp(pts.indices, axis=0) + 1
-    diagonal = q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0
-    if kern.support.kind == "rect" and diagonal and len(pts) == box.prod():
-        recon = _separable_reconstruction(kern, pts, axis, box)
+    if kern.support.kind == "rect" and q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0:
+        recon = _separable_reconstruction(kern, pts, axis)
     else:
         recon = _mirrored_reconstruction(kern, pts, axis)
     for b0 in range(0, samples.shape[1], _MSE_BLOCK):
@@ -625,25 +617,29 @@ def _check_centre_row(row: np.ndarray, perm: np.ndarray, what: str) -> None:
                          f"at mirrored sample positions")
 
 
-def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, box):
-    """Grid reconstruction by a rect kernel's 1-D factors on a full index box.
+def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray):
+    """Grid reconstruction by a rect kernel's 1-D factors.
 
-    Rows run over ``n1`` within ``n2`` (``enumerate_lattice``), so the
-    samples form an ``n2 x n1`` box, and the kernel factors as
-    ``f(x, y) = f(x, 0) f(0, y) / f(0, 0)``.
+    A diagonal ``Q`` over a centred square fills its index box, and rows run
+    over ``n1`` within ``n2`` (``enumerate_lattice``), so the samples form
+    an ``n2 x n1`` box.  The kernel must factor as
+    ``f(x, y) = f(x, 0) f(0, y) / f(0, 0)``; the product of the factors is
+    checked against the kernel at one grid point off both axes within 1e-12
+    relative, over all samples.
     """
+    box = np.ptp(pts.indices, axis=0) + 1
     pos = pts.positions.reshape(box[1], box[0], 2)
-
-    def table(dim, coords):
-        disp = np.zeros((len(axis), len(coords), 2))
-        disp[..., dim] = axis[:, None] - coords
-        return kern(disp)
-
-    fx = table(0, pos[0, :, 0])
-    fy = table(1, pos[:, 0, 1]) / kern.peak
-    centre = len(axis) // 2
+    zeros, centre = np.zeros(len(axis)), len(axis) // 2
+    # f(x, 0) and f(0, y): the grid axes against the samples on the axes
+    fx = _interp_matrix(kern, np.column_stack([axis, zeros]), pos[box[1] // 2])
+    fy = _interp_matrix(kern, np.column_stack([zeros, axis]), pos[:, box[0] // 2])
+    fy /= fx[centre, box[0] // 2]  # f(0, 0)
     for f in (fx, fy):
         _check_centre_row(f[centre], np.s_[::-1], "even")
+    row = _interp_matrix(kern, np.array([[axis[0], axis[-1]]]), pts.positions)[0]
+    if np.abs(np.outer(fy[-1], fx[0]).ravel() - row).max() > 1e-12 * np.abs(row).max():
+        raise ValueError("kernel must be separable on a rect support: f(x, 0) f(0, y) / f(0, 0) "
+                         "differs from f(x, y) by more than 1e-12 relative")
 
     def recon(stacked):
         e = stacked.reshape(box[1], box[0], -1)
@@ -705,11 +701,12 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     lattice vector ``t = Q m`` (hex: ``t = (0, wavelength)``, ``p = 8``), the
     row at ``g + c t`` is the row at ``g`` over the samples ``n - c m``.  The
     kernel is then evaluated only on the first ``p`` grid lines across that
-    axis, line ``a`` over the part of the index set ``E``, the union of
-    ``S - c m``, that its shifts ``c <= (h - a) // p`` gather from, and every
-    other row is gathered from them.  None without such a ``p`` below the
-    quadrant's side, or when ``p |E|`` is no fewer kernel values than
-    ``(h+1) |S|``.
+    axis (one ``_interp_matrix`` call each), line ``a`` over the part of
+    the index set ``E``, the union of ``S - c m``, that its shifts
+    ``c <= (h - a) // p`` gather from, and every other row is gathered from
+    them.  None without such a ``p`` below the quadrant's side, or when
+    ``p |E|`` is no fewer kernel values than ``(h+1) |S|``: a wall-time
+    guard for small cells, where the dense build is the faster one.
     """
     h = len(axis) // 2
     # steps[p - 1, d]: p grid steps along axis d, the smallest p first, then x
@@ -723,7 +720,9 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     # E in first-appearance order; 1-D codes sort about 20 times faster than np.unique(axis=0)
     span = np.ptp(shifted[:, 1]) + 1
     first = np.sort(np.unique(shifted[:, 0] * span + shifted[:, 1], return_index=True)[1])
-    if p * len(first) >= (h + 1) * len(pts):  # no fewer kernel values
+    # p |E| overcounts the prefix build, but on cells this small one dense
+    # call is faster than p line calls
+    if p * len(first) >= (h + 1) * len(pts):
         return None
     ext = shifted[first]
     ext_pos = ext @ pts.q.q.T  # as enumerate_lattice computes positions
@@ -736,13 +735,8 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     lines = np.empty((p, h + 1, 2))
     lines[..., dim], lines[..., 1 - dim] = axis[:p, None], axis[:h + 1]
     f = np.empty(((h + 1) ** 2, len(pts)))
-    rows = max(1, _INTERP_ELEMS // len(ext))
-    # chunks across the lines outermost: with the period along y (hex) f then
-    # fills in row order, so its pages are not all touched while the kernel's
-    # temporaries are alive
-    for o0 in range(0, h + 1, rows):
-        for a in range(p):
-            table = kern(lines[a, o0:o0 + rows, None, :] - ext_pos[None, :ends[a], :])
-            for c in range((h - a) // p + 1):
-                f[dest[a + c * p, o0:o0 + rows]] = table[:, picks[c]]
+    for a in range(p):
+        table = _interp_matrix(kern, lines[a], ext_pos[:ends[a]])
+        for c in range((h - a) // p + 1):
+            f[dest[a + c * p]] = table[:, picks[c]]
     return f

@@ -170,9 +170,11 @@ class Kernel:
     Every support is centrally symmetric, so its kernel is even,
     ``f(-r) = f(r)``; a support that an axis flip maps onto itself makes
     the kernel invariant under that flip too.  A ``"rect"`` support is
-    taken to give a separable kernel, ``f(x, y) = f(x, 0) f(0, y) / peak``.
-    ``mse_sweep`` relies on all three; it checks evenness and flip
-    invariance at the sample positions, but not separability.
+    taken to give a separable kernel, ``f(x, y) = f(x, 0) f(0, y) / f(0, 0)``.
+    ``mse_sweep`` relies on all three and checks each at the sample
+    positions: evenness and flip invariance from the grid centre,
+    separability from one grid point off both axes.  It does not read
+    ``peak``.
     """
 
     support: SpectralSupport

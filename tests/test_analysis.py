@@ -65,6 +65,9 @@ ROTATED = EllipseShape(a1=0.8, a2=0.5, phi=0.6)
 # with the point reflection as its only mirror
 SHEARED = SamplingMatrix(0.8 * nyquist_hex(KN).q
                          @ (np.eye(2) + 0.3 * np.random.default_rng(0).standard_normal((2, 2))))
+# a lattice whose x flip is the index map (n1, n2) -> (-n1 - n2, n2): at 6
+# lambda some window differences map out of the points' index box
+SKEWED = SamplingMatrix(0.41 * np.array([[1.0, 0.5], [0.0, 1.0]]))
 # each scheme with the interpolation build it takes in mse_sweep
 STRUCTURED = [
     pytest.param(nyquist_rect(KN), kernel_rect(KN), "separable", id="rect_half_lambda"),
@@ -185,7 +188,7 @@ def _reference_autocorr(points, acf):
     uniq, inverse = np.unique(diffs, axis=0, return_inverse=True)
     vals = np.asarray(acf.eval_many(uniq.astype(float) @ points.q.q.T))
     entries = vals[inverse].reshape(n, n)
-    return 0.5 * (entries + entries.conj().T), len(uniq)
+    return 0.5 * (entries + entries.conj().T)
 
 
 class _CountingAcf(Acf):
@@ -193,10 +196,30 @@ class _CountingAcf(Acf):
         self.inner = inner
         self.kn = inner.kn
         self.calls = []
+        self.indices = []
 
     def eval_many(self, disp):
         self.calls.append(len(disp))
         return self.inner.eval_many(disp)
+
+    def eval_lattice(self, q, indices):
+        self.indices.append(np.asarray(indices))
+        return super().eval_lattice(q, indices)
+
+
+def _window_count(points):
+    """Brute-force count of the index-difference box's vectors in the doubled window.
+
+    The box is ``|d_k| <= ptp_k`` of the points' indices; the window
+    ``|Q d|_inf <= L`` within ``LatticePointSet``'s relative 1e-9.
+    """
+    span = np.ptp(points.indices, axis=0)
+    count = 0
+    for d1 in range(-span[0], span[0] + 1):
+        for d2 in range(-span[1], span[1] + 1):
+            disp = points.q.q @ np.array([d1, d2])
+            count += np.abs(disp).max() <= points.region.side * (1.0 + 1e-9)
+    return count
 
 
 def _oracle_point_sets():
@@ -216,19 +239,38 @@ class TestAutocorrMatrix:
         pts = _oracle_point_sets()[name]
         acf = _CountingAcf(ClarkeAcf(KN))
         mat = build_autocorr_matrix(pts, acf)
-        ref, n_unique = _reference_autocorr(pts, ClarkeAcf(KN))
+        ref = _reference_autocorr(pts, ClarkeAcf(KN))
         assert mat.entries.dtype == np.float64
         assert not ref.imag.any()
         assert np.array_equal(mat.entries, ref.real)
-        # one call covering each +/- pair once, plus the zero difference
-        assert acf.calls == [(n_unique + 1) // 2]
+        # one call covering each +/- pair of the window's differences once,
+        # plus the zero difference
+        assert acf.calls == [(_window_count(pts) + 1) // 2]
+
+    @pytest.mark.parametrize("name", ["rect", "hex", "ellipse", "sheared", "shuffled",
+                                      "two-point"])
+    def test_every_pair_difference_is_evaluated(self, name):
+        side = Region(side=6.0 * LAM)
+        pts = {**_oracle_point_sets(),
+               "sheared": enumerate_lattice(SHEARED, side),
+               "shuffled": shuffled_rows(enumerate_lattice(nyquist_hex(KN), side))}[name]
+        acf = _CountingAcf(ClarkeAcf(KN))
+        build_autocorr_matrix(pts, acf)
+        (evaluated,) = acf.indices
+        assert len(evaluated) == (_window_count(pts) + 1) // 2
+        # each +/- pair once
+        seen = {tuple(d) for d in evaluated} | {tuple(-d) for d in evaluated}
+        assert len(seen) == 2 * len(evaluated) - 1
+        idx = pts.indices
+        pairs = {tuple(d) for d in (idx[:, None, :] - idx[None, :, :]).reshape(-1, 2)}
+        assert pairs <= seen
 
     def test_numeric_equals_unique_reference(self):
         from helpers import two_cluster_scenario
         acf = NumericAcf(two_cluster_scenario())
         pts = enumerate_lattice(nyquist_hex(KN), Region(side=2.0 * LAM))
         mat = build_autocorr_matrix(pts, acf)
-        ref, _ = _reference_autocorr(pts, acf)
+        ref = _reference_autocorr(pts, acf)
         assert mat.entries.dtype == np.complex128
         assert np.abs(mat.entries - ref).max() <= 1e-14
 
@@ -305,6 +347,7 @@ class TestEigenSpectrum:
         ("shuffled", "clarke", 4),  # the hex set with its rows in a random order
         ("rotated", "clarke", 2),  # the point reflection only
         ("sheared", "clarke", 2),
+        ("skewed", "clarke", 4),
         ("two-point", "clarke", 1),  # the y flip alone, which fixes both points
         ("hex", "stretched", 2),  # a real table that no axis flip keeps
         ("hex", "two-cluster", 1),  # a complex table: the real form of order N
@@ -326,6 +369,7 @@ class TestEigenSpectrum:
             "shuffled": lambda: shuffled_rows(enumerate_lattice(nyquist_hex(KN), side)),
             "rotated": lambda: enumerate_lattice(nyquist_ellipse(KN, ROTATED), side),
             "sheared": lambda: enumerate_lattice(SHEARED, side),
+            "skewed": lambda: enumerate_lattice(SKEWED, side),
             "two-point": _two_point_set,
         }[name]()
         acf = {"clarke": ClarkeAcf(KN), "stretched": StretchedAcf(),
@@ -602,10 +646,11 @@ class TestMseExperiment:
         pts = enumerate_lattice(q, region)
         size = len(rep.axis)
         rows = {"quadrant": (size // 2 + 1) ** 2, "half": (size * size + 1) // 2}
-        if path == "separable":
-            assert sum(evaluated) == size * (np.ptp(pts.indices, axis=0) + 1).sum()
+        if path == "separable":  # plus one row that checks the factorization
+            assert sum(evaluated) == size * (np.ptp(pts.indices, axis=0) + 1).sum() + len(pts)
         else:
             assert sum(evaluated) == rows[path] * len(pts)
+        assert max(evaluated) <= analysis._INTERP_ELEMS
 
     def test_odd_kernel_rejected(self):
         kern = kernel_disk(KN)
@@ -622,6 +667,23 @@ class TestMseExperiment:
                          fn=lambda r: kern.fn(r - np.array([0.0, 0.1 * LAM])))
         with pytest.raises(ValueError, match="kernel must be even"):
             mse_experiment(ISO, nyquist_rect(KN), shifted, Region(side=2.0 * LAM),
+                           n_realizations=2, n_waves=16)
+
+    def test_separable_build_ignores_the_declared_peak(self):
+        # the 1-D factors are divided by the kernel's own f(0, 0), not by peak
+        kern = kernel_rect(KN)
+        wrong = Kernel(kern.support, 2.0, kern.fn)
+        kwargs = dict(n_realizations=8, seed=3, n_waves=64)
+        a = mse_experiment(ISO, nyquist_rect(KN), kern, Region(side=4.0 * LAM), **kwargs)
+        b = mse_experiment(ISO, nyquist_rect(KN), wrong, Region(side=4.0 * LAM), **kwargs)
+        assert np.array_equal(a.pointwise, b.pointwise)
+        assert a.average == b.average
+
+    def test_non_separable_rect_kernel_rejected(self):
+        # a jinc profile on a rect support: even and flip-invariant, not separable
+        jinc_on_rect = Kernel(kernel_rect(KN).support, 1.0, kernel_disk(KN).fn)
+        with pytest.raises(ValueError, match="kernel must be separable"):
+            mse_experiment(ISO, nyquist_rect(KN), jinc_on_rect, Region(side=4.0 * LAM),
                            n_realizations=2, n_waves=16)
 
     def test_flip_asymmetric_kernel_rejected(self):
@@ -661,6 +723,12 @@ class TestMseExperiment:
         with pytest.raises(ValueError):
             mse_experiment(ISO, nyquist_hex(KN), kernel_disk(KN),
                            Region(side=2.0), n_realizations=2, workers=0)
+        with pytest.raises(ValueError, match="n_waves"):
+            mse_experiment(ISO, nyquist_hex(KN), kernel_disk(KN),
+                           Region(side=2.0), n_realizations=2, n_waves=-3)
+        with pytest.raises(ValueError, match="n_waves"):
+            mse_sweep(ISO, [(nyquist_hex(KN), kernel_disk(KN))], [Region(side=2.0)],
+                      n_realizations=2, n_waves=0)
 
 
 def _quadrant_query(side):

@@ -355,16 +355,21 @@ class TestSidecars:
 
 
 class TestBlasThreads:
-    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, scen40):
-        # eigs.csv does depend on it (README): the eigensolver's round-off does
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, scen40, scen2):
+        # eigs.csv does depend on it (README): the eigensolver's round-off does;
+        # the second eigs job is the directional-eigs benchmark's
         outputs = {}
         for threads in ("1", "2"):
             env = {"OPENBLAS_NUM_THREADS": threads}
-            for args in (["mse-sweep", "--scenario", scen40, "--L-list", "2,8",
-                          "--realizations", "16", "--n-waves", "128"],
-                         ["eigs", "--scheme", "hex", "--L", "20"]):
-                res = run_cli(args + ["--out", threads], tmp_path, env=env)
+            for args, out in ((["mse-sweep", "--scenario", scen40, "--L-list", "2,8",
+                                "--realizations", "16", "--n-waves", "128"], "m"),
+                              (["eigs", "--scheme", "hex", "--L", "20"], "e"),
+                              (["eigs", "--scheme", "hex", "--L", "12", "--acf", "numeric",
+                                "--scenario", scen2], "d")):
+                res = run_cli(args + ["--out", threads + out], tmp_path, env=env)
                 assert res.returncode == 0, res.stderr
-            outputs[threads] = [(tmp_path / threads / name).read_bytes()
-                                for name in ("mse_sweep.csv", "eigs_summary.json")]
+            outputs[threads] = [(tmp_path / (threads + out) / name).read_bytes()
+                                for out, name in (("m", "mse_sweep.csv"),
+                                                  ("e", "eigs_summary.json"),
+                                                  ("d", "eigs_summary.json"))]
         assert outputs["1"] == outputs["2"]
