@@ -21,7 +21,9 @@ from .lattice import (
     LatticePointSet,
     SamplingMatrix,
     _index_rows,
+    _WINDOW_SLACK,
     _lattice_coords,
+    _lattice_mirrors,
     _mirror_group,
     alias_free,
     enumerate_lattice,
@@ -104,37 +106,27 @@ def count_wavenumber_modes(s: SpectralSupport, region: Region) -> int:
 
 @dataclass(frozen=True)
 class AutocorrMatrix:
-    """Autocorrelation of the field across a lattice point set, as mirror blocks.
+    """Autocorrelation of the field across a lattice point set, as a difference table.
 
     The full matrix ``entries[i, j] = c(r_i - r_j)`` is Hermitian with a
-    unit diagonal and, up to round-off, positive semidefinite.  It is kept
-    as ``table``, the ACF's values over the box of index differences
+    unit diagonal and, up to round-off, positive semidefinite.  Only
+    ``table`` is kept: the ACF's values over the box of index differences
     (``_difference_box``), zero outside the doubled window where no pair
-    difference lies, and as ``blocks``, real symmetric (or, with no
-    mirror at all and a complex ACF, complex Hermitian) matrices whose
-    direct sum is unitarily similar to it: the eigenvalues of all blocks
-    together are those of the full matrix.  ``build_autocorr_matrix`` explains how
-    the blocks arise.  ``entries`` gathers the full matrix from the table on
-    demand; nothing on the eigensolve path builds it.
+    difference lies.  ``blocks()`` gathers from it, one at a time, the
+    mirror blocks whose eigenvalues together are those of the full matrix
+    (``build_autocorr_matrix``); ``entries`` gathers the full matrix, for
+    checks; nothing on the eigensolve path builds it.
 
-    Checks: the block orders sum to the number of points, each block is
-    Hermitian within 1e-12, and the table's value at zero difference, which
-    is every diagonal entry of the full matrix, is 1 within 1e-9.
+    Checks: the diagonal is 1 within 1e-9 on construction; the block orders
+    sum to the number of points before any gather; each block is Hermitian
+    within 1e-12 before it is yielded.
     """
 
     points: LatticePointSet
     acf: Acf
     table: np.ndarray
-    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if sum(len(b) for b in self.blocks) != len(self.points):
-            raise ValueError(f"block orders must sum to the {len(self.points)} points")
-        for b in self.blocks:
-            step = max(1, _GATHER_ELEMS // max(1, len(b)))
-            for r0 in range(0, len(b), step):  # row chunks keep the temporaries small
-                if np.abs(b[r0:r0 + step] - b[:, r0:r0 + step].conj().T).max() > 1e-12:
-                    raise ValueError("autocorrelation matrix must be Hermitian within 1e-12")
         if abs(self.table[(len(self.table) - 1) // 2] - 1.0) > 1e-9:
             raise ValueError("autocorrelation diagonal must be 1 within 1e-9")
 
@@ -143,6 +135,52 @@ class AutocorrMatrix:
         """The full ``N x N`` matrix, gathered from the table (for checks)."""
         code, _ = _difference_box(self.points)
         return self.table[code[:, None] - code[None, :] + (len(self.table) - 1) // 2]
+
+    def blocks(self):
+        """The mirror blocks, each gathered when asked for; none is held here once yielded."""
+        points, table = self.points, self.table
+        code, shape = _difference_box(points)
+        centre = (table.size - 1) // 2
+        diffs = np.column_stack(np.divmod(np.arange(table.size), shape[1])) - shape // 2
+
+        def keeps_table(_, m):
+            image = diffs @ m.T
+            # a difference may map out of the box, but no pair difference does
+            inside = np.all(np.abs(image) <= shape // 2, axis=1)
+            image = image[inside] @ [shape[1], 1] + centre
+            return np.abs(table[image] - table[inside]).max() <= 1e-12
+
+        real = not np.iscomplexobj(table)
+        # r -> -r conjugates a complex table; it gives the real form below
+        _, group, _, chars, parts = _mirror_group(
+            points, keeps_table if real else lambda flip, _: np.array_equal(flip, -np.eye(2)))
+        if sum(len(reps) for reps, _ in parts) != len(points):
+            raise ValueError(f"block orders must sum to the {len(points)} points")
+
+        def gather(r, c, chi):
+            (ro, rs), (co, cs) = r, c
+            out = np.zeros((len(ro), len(co)), dtype=table.dtype)
+            # row chunks keep the key and value temporaries small
+            step = max(1, _GATHER_ELEMS // max(1, len(co)))
+            for g, sign in zip(group, chi):
+                col = code[g[co]] - centre
+                for r0 in range(0, len(ro), step):
+                    out[r0:r0 + step] += sign * table[code[ro[r0:r0 + step], None] - col]
+            out *= (1.0 / np.sqrt(rs))[:, None]
+            out *= (1.0 / np.sqrt(cs))[None, :]
+            return out
+
+        if real or len(group) == 1:
+            yield from (_hermitian(gather(p, p, chi)) for p, chi in zip(parts, chars) if len(p[0]))
+            return
+        plus, minus = parts
+        k = len(plus[0])
+        form = np.empty((len(points), len(points)))
+        form[:k, :k] = gather(plus, plus, chars[0]).real
+        form[k:, k:] = gather(minus, minus, chars[1]).real
+        form[:k, k:] = -gather(plus, minus, chars[1]).imag
+        form[k:, :k] = form[:k, k:].T
+        yield _hermitian(form)
 
 
 _GATHER_ELEMS = 1 << 16  # elements per row chunk of a block gather or check
@@ -161,7 +199,7 @@ def _difference_box(points: LatticePointSet):
 
 
 def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
-    """Autocorrelation matrix over all pairs of lattice points, as mirror blocks.
+    """Autocorrelation matrix over all pairs of lattice points, as a difference table.
 
     The ACF is evaluated once, on the index differences ``d`` in the upper
     half of their box (``d`` lexicographically at least 0) whose
@@ -172,16 +210,16 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     are never formed.  The differences reach the ACF as integer indices through
     ``acf.eval_lattice(Q, d)``, so a quadrature ACF can factor its phases
     over the box (``NumericAcf``); other ACFs see the displacements ``Q d``.
-    When every evaluated value is real (as for the isotropic sinc ACF) the
-    table is real ``float64``.
+    When no imaginary part exceeds 1e-12 (the sinc ACF, or the round-off of
+    a radial spectrum's quadrature) the table is real ``float64``.
 
-    The matrix is never built whole.  Its mirror group ``G`` is made of the
-    point reflection and the axis flips that map the point set onto itself
-    and, for a real table, leave every evaluated value unchanged within
-    1e-12 (``lattice._mirror_group``, which also gives the characters and
-    orbits below).  Each character ``chi`` of ``G`` (a sign per mirror)
-    gives one real symmetric block over the orbit representatives ``o``
-    whose stabiliser ``chi`` keeps, gathered straight from the table:
+    ``AutocorrMatrix.blocks``, not this function, gathers the blocks.  The
+    mirror group ``G`` is made of the point reflection and the axis flips
+    that map the point set onto itself and, for a real table, leave every
+    table value unchanged within 1e-12 (``lattice._mirror_group``, which
+    also gives the characters and orbits below).  Each character ``chi`` of
+    ``G`` (a sign per mirror) gives one real symmetric block over the orbit
+    representatives ``o`` whose stabiliser ``chi`` keeps:
     ``B[o, o'] = sum_g chi(g) c(r_o - g r_o') / sqrt(s_o s_o')``, where
     ``s`` is the stabiliser's size.  Rect and hex lattices under the sinc
     ACF give four blocks of about ``N/4``; a rotated ellipse or a sheared
@@ -189,88 +227,47 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     point reflection, so the reflection's two blocks combine into the real
     symmetric matrix ``[[Re B+, -Im X], [-Im X.T, Re B-]]`` of order ``N``,
     with ``X`` the gather of the ``B-`` sum over rows of ``B+``.  A set
-    without any mirror keeps the full matrix as its one block.
+    without any mirror gives the full matrix as its one block.
     """
-    code, shape = _difference_box(points)
+    _, shape = _difference_box(points)
     size = shape.prod()
     half = np.arange((size - 1) // 2, size)
     diffs = np.column_stack(np.divmod(half, shape[1])) - shape // 2
     # the window test of LatticePointSet, doubled
-    inside = np.abs(diffs @ points.q.q.T).max(axis=1) <= points.region.side * (1.0 + 1e-9)
+    inside = np.abs(diffs @ points.q.q.T).max(axis=1) <= points.region.side * _WINDOW_SLACK
     half, diffs = half[inside], diffs[inside]
     vals = np.asarray(acf.eval_lattice(points.q.q, diffs))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         where = points.q.q @ diffs[np.argmax(bad)]
         raise ValueError(f"ACF returned a non-finite value at displacement {tuple(where)}")
-    if not np.any(vals.imag):
+    if np.abs(vals.imag).max() <= 1e-12:
         vals = vals.real
     table = np.zeros(size, dtype=vals.dtype)
     table[size - 1 - half] = vals.conj()
     table[half] = vals
-    return AutocorrMatrix(points=points, acf=acf, table=table,
-                          blocks=_mirror_blocks(points, table, code, shape, diffs))
+    return AutocorrMatrix(points=points, acf=acf, table=table)
 
 
-def _mirror_blocks(points: LatticePointSet, table: np.ndarray, code: np.ndarray,
-                   shape: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The blocks of ``build_autocorr_matrix``, gathered from the difference table.
+def _hermitian(b: np.ndarray) -> np.ndarray:
+    """``b``, once it is checked Hermitian within 1e-12."""
+    step = max(1, _GATHER_ELEMS // max(1, len(b)))
+    for r0 in range(0, len(b), step):  # row chunks keep the temporaries small
+        if np.abs(b[r0:r0 + step] - b[:, r0:r0 + step].conj().T).max() > 1e-12:
+            raise ValueError("autocorrelation matrix must be Hermitian within 1e-12")
+    return b
 
-    ``code`` and ``shape`` place the points in the table's box
-    (``_difference_box``); ``diffs`` are the differences the ACF was
-    evaluated on, over which a flip must keep a real table.
+
+def _autocorr_peak_bytes(n_points: float, q: SamplingMatrix, real: bool) -> float:
+    """About the peak bytes of ``eigen_spectrum(build_autocorr_matrix(...))``.
+
+    One block of order ``n`` and ``eigvalsh``'s copy: ``16 n^2``.  A real table
+    keeps the lattice's mirrors and the identity (``lattice._lattice_mirrors``),
+    ``g`` in all, so ``n`` is about ``N/g`` (``N^2`` bytes for rect and hex); a
+    complex one gives the real form, ``n = N``.  The ACF's work is not counted.
     """
-    centre = (table.size - 1) // 2
-
-    def box(d):
-        return d[:, 0] * shape[1] + d[:, 1] + centre
-
-    def keeps_table(_, m):
-        image = diffs @ m.T
-        # a window difference may map out of the box, but no pair difference does
-        inside = np.all(np.abs(image) <= shape // 2, axis=1)
-        return np.abs(table[box(image[inside])] - table[box(diffs[inside])]).max() <= 1e-12
-
-    real = not np.iscomplexobj(table)
-    # r -> -r conjugates a complex table; it gives the real form below
-    _, group, _, chars, parts = _mirror_group(
-        points, keeps_table if real else lambda flip, _: np.array_equal(flip, -np.eye(2)))
-
-    def gather(r, c, chi):
-        (ro, rs), (co, cs) = r, c
-        out = np.zeros((len(ro), len(co)), dtype=table.dtype)
-        # row chunks keep the key and value temporaries small
-        step = max(1, _GATHER_ELEMS // max(1, len(co)))
-        for g, sign in zip(group, chi):
-            col = code[g[co]] - centre
-            for r0 in range(0, len(ro), step):
-                out[r0:r0 + step] += sign * table[code[ro[r0:r0 + step], None] - col]
-        out *= (1.0 / np.sqrt(rs))[:, None]
-        out *= (1.0 / np.sqrt(cs))[None, :]
-        return out
-
-    if real or len(group) == 1:
-        return tuple(gather(p, p, chi) for p, chi in zip(parts, chars) if len(p[0]))
-    plus, minus = parts
-    k = len(plus[0])
-    form = np.empty((len(points), len(points)))
-    form[:k, :k] = gather(plus, plus, chars[0]).real
-    form[k:, k:] = gather(minus, minus, chars[1]).real
-    form[:k, k:] = -gather(plus, minus, chars[1]).imag
-    form[k:, :k] = form[:k, k:].T
-    return (form,)
-
-
-def _autocorr_peak_bytes(n_points: float, real: bool) -> float:
-    """Worst-case peak bytes of ``eigen_spectrum(build_autocorr_matrix(...))``.
-
-    The blocks are held whole and ``eigvalsh`` copies the one it solves, so
-    the peak is about ``8 * (sum of squared block orders + the largest
-    one)`` bytes.  A real table has at worst the point reflection alone, two
-    blocks of about ``N/2``: ``6 N^2`` bytes.  A complex one has the real
-    form of order ``N``: ``16 N^2``.  The ACF's own work is not counted.
-    """
-    return (6.0 if real else 16.0) * n_points ** 2
+    g = 1 + len(_lattice_mirrors(q.q)) if real else 1
+    return 16.0 * (n_points / g) ** 2
 
 
 @dataclass(frozen=True)
@@ -289,24 +286,24 @@ class EigenSpectrum:
 def eigen_spectrum(c: AutocorrMatrix) -> EigenSpectrum:
     """Descending eigenvalue spectrum of the autocorrelation matrix.
 
-    Each of the matrix's mirror blocks is solved on its own and the
-    spectra are merged; the full matrix is never formed.  Negative round-off
-    eigenvalues above ``-1e-8`` relative to the trace (the sum of the block
-    traces) are clamped to zero; anything more negative is treated as a
-    defective ACF.
+    The matrix's mirror blocks are gathered, solved and dropped one at a
+    time, so one block and the eigensolver's copy of it are held at once,
+    and the spectra are merged; the full matrix is never formed.  Negative
+    round-off eigenvalues above ``-1e-8`` relative to the trace (the sum of
+    the block traces, taken as each block is solved) are clamped to zero;
+    anything more negative is treated as a defective ACF.
     """
-    parts = []
-    for b in c.blocks:
+    parts, trace = [], 0.0
+    for b in c.blocks():
         try:
             parts.append(np.linalg.eigvalsh(b))
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"eigensolver failed on a block of order {len(b)} "
-                f"(max |diag| {np.abs(np.diagonal(b)).max():.3e}, "
-                f"max |entry| {np.abs(b).max():.3e}): {exc}"
-            ) from exc
+            raise RuntimeError(f"eigensolver failed on a block of order {len(b)} (max |diag| "
+                               f"{np.abs(np.diagonal(b)).max():.3e}, max |entry| "
+                               f"{np.abs(b).max():.3e}): {exc}") from exc
+        trace += np.trace(b).real
+        del b  # dropped before the next block is gathered
     vals = np.sort(np.concatenate(parts))
-    trace = float(sum(np.trace(b).real for b in c.blocks))
     floor = -1e-8 * max(trace, 1.0)
     if vals.min() < floor:
         raise ValueError(

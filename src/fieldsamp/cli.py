@@ -271,8 +271,8 @@ def cmd_eigs(args) -> dict:
     region = Region(side=args.L * kn.wavelength)
     use_clarke = args.acf == "clarke" or (args.acf == "auto" and _is_isotropic(scenario))
     # a numeric ACF may give a complex table, so its estimate takes the worse case
-    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), real=use_clarke),
-                  f"--L {args.L:g}", "the autocorrelation blocks")
+    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, real=use_clarke),
+                  f"--L {args.L:g}", "an autocorrelation block")
     pts = enumerate_lattice(q, region)
     acf = ClarkeAcf(kn) if use_clarke else NumericAcf(scenario)
     spectrum = eigen_spectrum(build_autocorr_matrix(pts, acf))

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _BOUNDARY_RTOL = 1e-12
+# window slack, at least _BOUNDARY_RTOL plus round-off: every point and pair difference passes
+_WINDOW_SLACK = 1.0 + 1e-9
 # relative slack of the alias boundary: replicas whose separation falls short
 # of 2*kappa by this share still count as tangent, so a support may reach
 # this share past its kappa
@@ -114,7 +116,7 @@ class LatticePointSet:
         if idx.ndim != 2 or idx.shape[1] != 2 or pos.shape != idx.shape:
             raise ValueError("indices and positions must both have shape (N, 2)")
         half = 0.5 * self.region.side
-        if pos.size and np.abs(pos).max() > half * (1.0 + 1e-9):
+        if pos.size and np.abs(pos).max() > half * _WINDOW_SLACK:
             raise ValueError("lattice positions fall outside the generating region")
 
     def __len__(self) -> int:
@@ -266,27 +268,28 @@ def mirror_permutations(points: LatticePointSet) -> dict[str, np.ndarray]:
     return dict(zip(names[1:], perms[1:]))
 
 
+def _lattice_mirrors(q: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Name and ``M.T`` of each mirror ``F`` keeping ``Q Z^2``: ``M = inv(Q) F Q`` is integer."""
+    found = ((name, _lattice_coords(q, (flip @ q).T)) for name, flip in MIRRORS.items())
+    return [(name, mt) for name, (mt, on) in found if on.all()]
+
+
 def _mirror_group(points: LatticePointSet, keeps):
     """The mirror group of a point set under the caller's invariance test.
 
-    A mirror ``F`` of ``MIRRORS`` maps the lattice onto itself iff
-    ``M = inv(Q) @ F @ Q`` is an integer matrix (``_lattice_coords``), which
-    then maps the indices.  ``F`` joins the group when the images are rows of
-    the set (``_index_rows``) and ``keeps(F, M)`` holds.  Returns, identity
-    first and then in the order of ``MIRRORS``, each element's name, row
-    permutation and diagonal signs; the characters, those of
+    A mirror ``F`` of ``_lattice_mirrors`` joins the group when its images of
+    the indices are rows of the set (``_index_rows``) and ``keeps(F, M)`` holds.
+    Returns, identity first and then in the order of ``MIRRORS``, each element's
+    name, row permutation and diagonal signs; the characters, those of
     ``{I, -I, Fx, Fy}`` restricted to the group (a sign per element,
     descending); and per character the orbit representatives (each orbit's
     smallest row) whose stabiliser it keeps, with the stabilisers' sizes.
     """
     idx, q = points.indices.astype(np.int64), points.q.q
     names, perms = ["identity"], [np.arange(len(idx))]
-    for name, flip in MIRRORS.items():
-        mt, on = _lattice_coords(q, (flip @ q).T)  # the rows of M.T
-        if not on.all():
-            continue
+    for name, mt in _lattice_mirrors(q):
         perm = _index_rows(idx, idx @ mt)
-        if perm.min() >= 0 and keeps(flip, mt.T):
+        if perm.min() >= 0 and keeps(MIRRORS[name], mt.T):
             names.append(name)
             perms.append(perm)
     perms = np.stack(perms)

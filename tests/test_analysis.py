@@ -7,6 +7,7 @@ import pytest
 
 from fieldsamp import (
     Acf,
+    AutocorrMatrix,
     ClarkeAcf,
     EigenSpectrum,
     EllipseShape,
@@ -39,12 +40,14 @@ from fieldsamp import (
 )
 from fieldsamp import analysis
 from fieldsamp.analysis import (
+    _autocorr_peak_bytes,
     _grid_half,
     _interp_matrix,
     _mirrored_reconstruction,
     _quadrant_rows,
     _rows_within,
 )
+from fieldsamp.lattice import _mirror_group
 from fieldsamp.scattering import ScatteringScenario
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster, counting_kernel, shuffled_rows
@@ -351,6 +354,7 @@ class TestEigenSpectrum:
         ("two-point", "clarke", 1),  # the y flip alone, which fixes both points
         ("hex", "stretched", 2),  # a real table that no axis flip keeps
         ("hex", "two-cluster", 1),  # a complex table: the real form of order N
+        ("hex", "zenith", 4),  # a radial numeric table, real within round-off
     ])
     def test_blocks_match_full_eigensolve(self, name, acf, n_blocks):
         from helpers import two_cluster_scenario
@@ -372,14 +376,17 @@ class TestEigenSpectrum:
             "skewed": lambda: enumerate_lattice(SKEWED, side),
             "two-point": _two_point_set,
         }[name]()
+        complex_table = acf == "two-cluster"
         acf = {"clarke": ClarkeAcf(KN), "stretched": StretchedAcf(),
-               "two-cluster": NumericAcf(two_cluster_scenario())}[acf]
+               "two-cluster": NumericAcf(two_cluster_scenario()),
+               "zenith": NumericAcf(broadside_cluster(40.0))}[acf]
         mat = build_autocorr_matrix(pts, acf)
         n = len(pts)
-        assert len(mat.blocks) == n_blocks
-        assert sum(len(b) for b in mat.blocks) == n
-        assert all(b.dtype == np.float64 for b in mat.blocks)
-        assert (mat.table.dtype == np.complex128) == isinstance(acf, NumericAcf)
+        blocks = list(mat.blocks())
+        assert len(blocks) == n_blocks
+        assert sum(len(b) for b in blocks) == n
+        assert all(b.dtype == np.float64 for b in blocks)
+        assert (mat.table.dtype == np.complex128) == complex_table
         full = np.linalg.eigvalsh(mat.entries)[::-1]
         spectrum = eigen_spectrum(mat)
         assert np.abs(spectrum.values - np.clip(full, 0.0, None)).max() <= 1e-12 * n
@@ -395,6 +402,85 @@ class TestEigenSpectrum:
             tracemalloc.stop()
         assert len(pts) == 1415
         assert peak < 8 * len(pts) ** 2  # one N x N float64, 16 MB
+
+    def test_eigensolve_holds_one_block_at_a_time(self):
+        import tracemalloc
+        mat = build_autocorr_matrix(enumerate_lattice(nyquist_hex(KN), Region(side=40.0 * LAM)),
+                                    ClarkeAcf(KN))
+        largest = max(b.nbytes for b in mat.blocks())  # 1435^2 float64, 16.5 MB
+        tracemalloc.start()
+        try:
+            eigen_spectrum(build_autocorr_matrix(mat.points, mat.acf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mat.points) == 5629
+        assert peak < 2.5 * largest
+
+    @pytest.mark.parametrize("q, g", [
+        (nyquist_rect(KN), 4), (nyquist_hex(KN), 4), (SKEWED, 4),
+        (nyquist_ellipse(KN, ROTATED), 2), (SHEARED, 2),  # the point reflection only
+    ])
+    def test_peak_estimate_is_one_block_of_the_lattice_group(self, q, g):
+        n = 34873.0  # hex at L=100: 1.2 GB, where two blocks of N/2 gave 7.3 GB
+        assert _autocorr_peak_bytes(n, q, real=True) == pytest.approx(16.0 * (n / g) ** 2)
+        assert _autocorr_peak_bytes(n, q, real=False) == pytest.approx(16.0 * n ** 2)
+
+    def test_each_block_is_dropped_before_the_next_is_gathered(self, monkeypatch):
+        import weakref
+        refs = []
+
+        def spy(b):  # runs on each block once it is gathered
+            assert all(r() is None for r in refs)
+            refs.append(weakref.ref(b))
+            return hermitian(b)
+
+        hermitian = analysis._hermitian
+        monkeypatch.setattr(analysis, "_hermitian", spy)
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=6.0 * LAM))
+        eigen_spectrum(build_autocorr_matrix(pts, ClarkeAcf(KN)))
+        assert len(refs) == 4
+
+    def test_non_hermitian_table_rejected_at_its_first_block(self):
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=4.0 * LAM))
+        table = build_autocorr_matrix(pts, ClarkeAcf(KN)).table.copy()
+        table[len(table) // 2 + 1] += 1e-6  # c(d) no longer equals c(-d)
+        blocks = AutocorrMatrix(points=pts, acf=ClarkeAcf(KN), table=table).blocks()
+        with pytest.raises(ValueError, match="Hermitian"):
+            next(blocks)
+
+    def test_block_orders_checked_before_any_gather(self, monkeypatch):
+        def short(points, keeps):
+            names, perms, signs, chars, parts = _mirror_group(points, keeps)
+            (reps, stab), *rest = parts
+            return names, perms, signs, chars, [(reps[1:], stab[1:]), *rest]
+
+        monkeypatch.setattr(analysis, "_mirror_group", short)
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=4.0 * LAM))
+        with pytest.raises(ValueError, match=f"sum to the {len(pts)} points"):
+            eigen_spectrum(build_autocorr_matrix(pts, ClarkeAcf(KN)))
+
+    def test_non_unit_diagonal_rejected(self):
+        class DoubledAcf(Acf):  # c(0) = 2
+            kn = KN
+
+            def eval_many(self, disp):
+                return 2.0 * ClarkeAcf(KN).eval_many(disp)
+
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=4.0 * LAM))
+        with pytest.raises(ValueError, match="diagonal must be 1"):
+            build_autocorr_matrix(pts, DoubledAcf())
+
+    def test_eigensolver_failure_names_the_block(self, monkeypatch):
+        def fail(b):
+            raise np.linalg.LinAlgError("no convergence")
+
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=4.0 * LAM))
+        mat = build_autocorr_matrix(pts, ClarkeAcf(KN))
+        order = len(next(mat.blocks()))
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(RuntimeError, match=f"block of order {order} .*no convergence"):
+            eigen_spectrum(mat)
 
     def test_isotropic_counts_approach_the_szego_limit(self):
         # For the sinc ACF the symbol's highest-power set holding p of the
