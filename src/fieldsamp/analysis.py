@@ -112,14 +112,14 @@ class AutocorrMatrix:
     unit diagonal and, up to round-off, positive semidefinite.  Only
     ``table`` is kept: the ACF's values over the box of index differences
     (``_difference_box``), zero outside the doubled window where no pair
-    difference lies.  ``blocks()`` gathers from it, one at a time, the
+    difference lies.  ``blocks()`` gathers from it, one at a time, the real
     mirror blocks whose eigenvalues together are those of the full matrix
     (``build_autocorr_matrix``); ``entries`` gathers the full matrix, for
     checks; nothing on the eigensolve path builds it.
 
-    Checks: the diagonal is 1 within 1e-9 on construction; the block orders
-    sum to the number of points before any gather; each block is Hermitian
-    within 1e-12 before it is yielded.
+    Checks: the diagonal is 1 within 1e-9 on construction; a complex table's
+    set is symmetric through the origin and the block orders sum to N before
+    any gather; each block is symmetric within 1e-12 before it is yielded.
     """
 
     points: LatticePointSet
@@ -150,37 +150,32 @@ class AutocorrMatrix:
             image = image[inside] @ [shape[1], 1] + centre
             return np.abs(table[image] - table[inside]).max() <= 1e-12
 
-        real = not np.iscomplexobj(table)
-        # r -> -r conjugates a complex table; it gives the real form below
-        _, group, _, chars, parts = _mirror_group(
-            points, keeps_table if real else lambda flip, _: np.array_equal(flip, -np.eye(2)))
+        cx = np.iscomplexobj(table)
+        if cx and not np.isin(-code, code).all():
+            raise ValueError("a complex table needs a point set symmetric through the origin")
+        # a complex table keeps neither r -> -r, which conjugates it, nor both axis flips:
+        # then |c(-d) - c(d)| = 2 |Im c(d)| <= 2e-12 and build_autocorr_matrix made it real
+        _, group, _, chars, parts = _mirror_group(points, keeps_table)
         if sum(len(reps) for reps, _ in parts) != len(points):
             raise ValueError(f"block orders must sum to the {len(points)} points")
 
-        def gather(r, c, chi):
-            (ro, rs), (co, cs) = r, c
-            out = np.zeros((len(ro), len(co)), dtype=table.dtype)
+        def gather(reps, stab, chi):
+            out = np.zeros((len(reps), len(reps)))
             # row chunks keep the key and value temporaries small
-            step = max(1, _GATHER_ELEMS // max(1, len(co)))
+            step = max(1, _GATHER_ELEMS // max(1, len(reps)))
             for g, sign in zip(group, chi):
-                col = code[g[co]] - centre
-                for r0 in range(0, len(ro), step):
-                    out[r0:r0 + step] += sign * table[code[ro[r0:r0 + step], None] - col]
-            out *= (1.0 / np.sqrt(rs))[:, None]
-            out *= (1.0 / np.sqrt(cs))[None, :]
+                col = code[g[reps]]
+                for r0 in range(0, len(reps), step):
+                    row = code[reps[r0:r0 + step], None]
+                    part = table[row - (col - centre)]
+                    if cx:  # r_i + r_j is the pair difference n_i - n_{J j}
+                        part = part.real + table[row + (col + centre)].imag
+                    out[r0:r0 + step] += sign * part
+            out *= (1.0 / np.sqrt(stab))[:, None]
+            out *= (1.0 / np.sqrt(stab))[None, :]
             return out
 
-        if real or len(group) == 1:
-            yield from (_hermitian(gather(p, p, chi)) for p, chi in zip(parts, chars) if len(p[0]))
-            return
-        plus, minus = parts
-        k = len(plus[0])
-        form = np.empty((len(points), len(points)))
-        form[:k, :k] = gather(plus, plus, chars[0]).real
-        form[k:, k:] = gather(minus, minus, chars[1]).real
-        form[:k, k:] = -gather(plus, minus, chars[1]).imag
-        form[k:, :k] = form[:k, k:].T
-        yield _hermitian(form)
+        yield from (_hermitian(gather(*p, chi)) for p, chi in zip(parts, chars) if len(p[0]))
 
 
 _GATHER_ELEMS = 1 << 16  # elements per row chunk of a block gather or check
@@ -213,21 +208,22 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
     When no imaginary part exceeds 1e-12 (the sinc ACF, or the round-off of
     a radial spectrum's quadrature) the table is real ``float64``.
 
-    ``AutocorrMatrix.blocks``, not this function, gathers the blocks.  The
-    mirror group ``G`` is made of the point reflection and the axis flips
-    that map the point set onto itself and, for a real table, leave every
-    table value unchanged within 1e-12 (``lattice._mirror_group``, which
-    also gives the characters and orbits below).  Each character ``chi`` of
-    ``G`` (a sign per mirror) gives one real symmetric block over the orbit
-    representatives ``o`` whose stabiliser ``chi`` keeps:
-    ``B[o, o'] = sum_g chi(g) c(r_o - g r_o') / sqrt(s_o s_o')``, where
-    ``s`` is the stabiliser's size.  Rect and hex lattices under the sinc
-    ACF give four blocks of about ``N/4``; a rotated ellipse or a sheared
-    ``Q`` gives two of about ``N/2``.  A complex table is conjugated by the
-    point reflection, so the reflection's two blocks combine into the real
-    symmetric matrix ``[[Re B+, -Im X], [-Im X.T, Re B-]]`` of order ``N``,
-    with ``X`` the gather of the ``B-`` sum over rows of ``B+``.  A set
-    without any mirror gives the full matrix as its one block.
+    ``AutocorrMatrix.blocks``, not this function, gathers the blocks of the
+    real symmetric ``M[i, j] = Re c(r_i - r_j) + Im c(r_i + r_j)``.  As
+    ``c(-r) = conj c(r)``, ``M = W^H C W`` with the unitary ``W = (I + J)/2 +
+    i (I - J)/2``, ``J`` the permutation of ``r -> -r`` (Lee 1980), so a complex
+    table needs a set symmetric through the origin; a real one has ``M = C``.
+    The mirror group ``G`` is made of the point reflection and the axis flips
+    that map the point set onto itself and leave every table value, and so
+    ``M``, unchanged within 1e-12 (``lattice._mirror_group``, which also gives
+    the characters and orbits below).  Each character ``chi`` of ``G`` (a sign
+    per mirror) gives one real symmetric block over the orbit representatives
+    ``o`` whose stabiliser ``chi`` keeps: ``B[o, o'] = sum_g chi(g) M[o, g o']
+    / sqrt(s_o s_o')``, where ``s`` is the stabiliser's size.  Rect and hex
+    lattices under the sinc ACF give four blocks of about ``N/4``; a rotated
+    ellipse, a sheared ``Q`` or a complex table that an axis flip keeps gives
+    two of about ``N/2``; a set without mirrors, or a complex table that no
+    flip keeps, gives ``M`` as its one block.
     """
     _, shape = _difference_box(points)
     size = shape.prod()
@@ -253,7 +249,7 @@ def _hermitian(b: np.ndarray) -> np.ndarray:
     """``b``, once it is checked Hermitian within 1e-12."""
     step = max(1, _GATHER_ELEMS // max(1, len(b)))
     for r0 in range(0, len(b), step):  # row chunks keep the temporaries small
-        if np.abs(b[r0:r0 + step] - b[:, r0:r0 + step].conj().T).max() > 1e-12:
+        if np.abs(b[r0:r0 + step] - b[:, r0:r0 + step].T).max() > 1e-12:
             raise ValueError("autocorrelation matrix must be Hermitian within 1e-12")
     return b
 
@@ -264,7 +260,7 @@ def _autocorr_peak_bytes(n_points: float, q: SamplingMatrix, real: bool) -> floa
     One block of order ``n`` and ``eigvalsh``'s copy: ``16 n^2``.  A real table
     keeps the lattice's mirrors and the identity (``lattice._lattice_mirrors``),
     ``g`` in all, so ``n`` is about ``N/g`` (``N^2`` bytes for rect and hex); a
-    complex one gives the real form, ``n = N``.  The ACF's work is not counted.
+    complex one may keep no mirror, so ``n = N``.  The ACF's work is not counted.
     """
     g = 1 + len(_lattice_mirrors(q.q)) if real else 1
     return 16.0 * (n_points / g) ** 2
@@ -301,7 +297,7 @@ def eigen_spectrum(c: AutocorrMatrix) -> EigenSpectrum:
             raise RuntimeError(f"eigensolver failed on a block of order {len(b)} (max |diag| "
                                f"{np.abs(np.diagonal(b)).max():.3e}, max |entry| "
                                f"{np.abs(b).max():.3e}): {exc}") from exc
-        trace += np.trace(b).real
+        trace += np.trace(b)
         del b  # dropped before the next block is gathered
     vals = np.sort(np.concatenate(parts))
     floor = -1e-8 * max(trace, 1.0)

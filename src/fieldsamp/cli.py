@@ -270,8 +270,9 @@ def cmd_eigs(args) -> dict:
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
     use_clarke = args.acf == "clarke" or (args.acf == "auto" and _is_isotropic(scenario))
-    # a numeric ACF may give a complex table, so its estimate takes the worse case
-    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, real=use_clarke),
+    # zenith clusters give a radial spectrum and a real table; others may give a complex one
+    real = use_clarke or all(c.theta_r == 0.0 for c in scenario.clusters)
+    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, real=real),
                   f"--L {args.L:g}", "an autocorrelation block")
     pts = enumerate_lattice(q, region)
     acf = ClarkeAcf(kn) if use_clarke else NumericAcf(scenario)

@@ -48,7 +48,7 @@ from fieldsamp.analysis import (
     _rows_within,
 )
 from fieldsamp.lattice import _mirror_group
-from fieldsamp.scattering import ScatteringScenario
+from fieldsamp.scattering import ScatteringScenario, VmfCluster
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster, counting_kernel, shuffled_rows
 
@@ -307,6 +307,13 @@ class TestAutocorrMatrix:
             build_autocorr_matrix(pts, BrokenAcf())
 
 
+def _tilted_cluster(phi_deg):
+    """One cluster at 30 degrees from the zenith: the x flip keeps it at phi 90 degrees."""
+    return ScatteringScenario(kn=KN, clusters=(
+        VmfCluster(weight=1.0, theta_r=math.radians(30.0), phi_r=math.radians(phi_deg),
+                   alpha=20.0),))
+
+
 def _two_point_set():
     q = nyquist_rect(KN)
     return LatticePointSet(
@@ -353,7 +360,9 @@ class TestEigenSpectrum:
         ("skewed", "clarke", 4),
         ("two-point", "clarke", 1),  # the y flip alone, which fixes both points
         ("hex", "stretched", 2),  # a real table that no axis flip keeps
-        ("hex", "two-cluster", 1),  # a complex table: the real form of order N
+        ("hex", "two-cluster", 2),  # a complex table that the y flip keeps
+        ("hex", "tilted-90", 2),  # a complex table that the x flip keeps: 72 + 65
+        ("hex", "tilted-30", 1),  # a complex table that no flip keeps
         ("hex", "zenith", 4),  # a radial numeric table, real within round-off
     ])
     def test_blocks_match_full_eigensolve(self, name, acf, n_blocks):
@@ -376,9 +385,11 @@ class TestEigenSpectrum:
             "skewed": lambda: enumerate_lattice(SKEWED, side),
             "two-point": _two_point_set,
         }[name]()
-        complex_table = acf == "two-cluster"
+        complex_table = acf in ("two-cluster", "tilted-90", "tilted-30")
         acf = {"clarke": ClarkeAcf(KN), "stretched": StretchedAcf(),
                "two-cluster": NumericAcf(two_cluster_scenario()),
+               "tilted-90": NumericAcf(_tilted_cluster(90.0)),
+               "tilted-30": NumericAcf(_tilted_cluster(30.0)),
                "zenith": NumericAcf(broadside_cluster(40.0))}[acf]
         mat = build_autocorr_matrix(pts, acf)
         n = len(pts)
@@ -416,6 +427,30 @@ class TestEigenSpectrum:
             tracemalloc.stop()
         assert len(mat.points) == 5629
         assert peak < 2.5 * largest
+
+    def test_complex_table_is_solved_in_real_blocks_below_n(self):
+        import tracemalloc
+        from helpers import two_cluster_scenario
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
+        acf = NumericAcf(two_cluster_scenario())
+        mat = build_autocorr_matrix(pts, acf)
+        assert mat.table.dtype == np.complex128
+        assert all(len(b) < len(pts) for b in mat.blocks())  # the y flip splits it
+        tracemalloc.start()
+        try:
+            eigen_spectrum(build_autocorr_matrix(pts, acf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 1415
+        assert peak < 8 * len(pts) ** 2  # one N x N float64, 16 MB
+
+    def test_complex_table_needs_a_set_symmetric_through_the_origin(self):
+        from helpers import two_cluster_scenario
+        mat = build_autocorr_matrix(_two_point_set(), NumericAcf(two_cluster_scenario()))
+        assert mat.table.dtype == np.complex128
+        with pytest.raises(ValueError, match="symmetric through the origin"):
+            eigen_spectrum(mat)
 
     @pytest.mark.parametrize("q, g", [
         (nyquist_rect(KN), 4), (nyquist_hex(KN), 4), (SKEWED, 4),

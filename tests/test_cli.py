@@ -231,6 +231,26 @@ class TestEigs:
         assert run_cli(args, tmp_path).returncode == 0
         assert (tmp_path / "out" / "eigs.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("scenario, g", [("scen40", 4), ("scen2", 1)])
+    def test_memory_estimate_counts_a_zenith_table_as_real(self, scenario, g, request,
+                                                           tmp_path, monkeypatch):
+        # a zenith-only spectrum is radial, so its table splits into the
+        # lattice's four blocks; a tilted cluster may give a complex table
+        # that no flip keeps
+        needs = []
+
+        def record(need, what, held):
+            needs.append(need)
+            raise cli.ConfigError("stop before any lattice is enumerated")
+
+        monkeypatch.setattr(cli, "_check_memory", record)
+        rc = cli.main(["eigs", "--scheme", "hex", "--L", "40", "--acf", "numeric",
+                       "--scenario", request.getfixturevalue(scenario),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        n = 40.0 ** 2 / abs(nyquist_hex(KN).det)  # wavelength 1
+        assert needs == [pytest.approx(16.0 * (n / g) ** 2)]
+
     def test_memory_error_reports_resource_json(self, tmp_path, monkeypatch, capsys):
         def exhausted(points, acf):
             raise MemoryError("Unable to allocate 1.1 GiB")
