@@ -254,15 +254,18 @@ def _hermitian(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _autocorr_peak_bytes(n_points: float, q: SamplingMatrix, real: bool) -> float:
+def _autocorr_peak_bytes(n_points: float, q: SamplingMatrix, kept) -> float:
     """About the peak bytes of ``eigen_spectrum(build_autocorr_matrix(...))``.
 
-    One block of order ``n`` and ``eigvalsh``'s copy: ``16 n^2``.  A real table
-    keeps the lattice's mirrors and the identity (``lattice._lattice_mirrors``),
-    ``g`` in all, so ``n`` is about ``N/g`` (``N^2`` bytes for rect and hex); a
-    complex one may keep no mirror, so ``n = N``.  The ACF's work is not counted.
+    One block of order ``n`` and ``eigvalsh``'s copy: ``16 n^2``.  ``kept``
+    names the mirrors that keep the ACF (``scattering._kept_mirrors``; all of
+    them for a radial ACF).  Those that also keep the lattice
+    (``lattice._lattice_mirrors``) and the identity, ``g`` in all, split the
+    table into ``g`` blocks of about ``N/g`` (``AutocorrMatrix.blocks``): ``N^2``
+    bytes for rect and hex under a radial ACF, ``16 N^2`` when no mirror keeps
+    both.  The ACF's work is not counted.
     """
-    g = 1 + len(_lattice_mirrors(q.q)) if real else 1
+    g = 1 + sum(name in kept for name, _ in _lattice_mirrors(q.q))
     return 16.0 * (n_points / g) ** 2
 
 

@@ -14,6 +14,11 @@ import math
 import os
 import sys
 
+# OpenBLAS's idle threads spin 2^28 cycles (about 0.1 s) after every threaded call
+# before they sleep, near doubling a job's CPU time; 2^16 is about 30 us.  OpenBLAS
+# reads it once, when numpy loads it; a caller's value wins (README "Command line").
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
+
 import numpy as np
 
 from . import __version__
@@ -35,6 +40,7 @@ from .geometry import EllipseShape, Region, SpectralSupport, Wavenumber
 from .kernels import kernel_disk, kernel_ellipse, kernel_rect
 from .lattice import (
     _ALIAS_RTOL,
+    MIRRORS,
     density,
     efficiency_gain,
     enumerate_lattice,
@@ -45,6 +51,7 @@ from .lattice import (
 )
 from .scattering import (
     ScatteringScenario,
+    _kept_mirrors,
     _threshold_mask,
     support_area_at_threshold,
     support_at_threshold,
@@ -265,14 +272,20 @@ def cmd_acf(args) -> dict:
 
 
 def cmd_eigs(args) -> dict:
+    """The autocorrelation eigen-spectrum on a lattice, and its power-capture counts.
+
+    The memory guard runs before any lattice is enumerated.  It sizes the
+    largest mirror block from the mirrors that keep the ACF -- all of them for
+    the sinc ACF, those that keep the scenario for a numeric one -- and the
+    lattice (``analysis._autocorr_peak_bytes``).
+    """
     scenario = _load_scenario(args)
     kn = scenario.kn
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
     use_clarke = args.acf == "clarke" or (args.acf == "auto" and _is_isotropic(scenario))
-    # zenith clusters give a radial spectrum and a real table; others may give a complex one
-    real = use_clarke or all(c.theta_r == 0.0 for c in scenario.clusters)
-    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, real=real),
+    kept = set(MIRRORS) if use_clarke else _kept_mirrors(scenario)
+    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, kept),
                   f"--L {args.L:g}", "an autocorrelation block")
     pts = enumerate_lattice(q, region)
     acf = ClarkeAcf(kn) if use_clarke else NumericAcf(scenario)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy
+from .lattice import MIRRORS
 
 __all__ = [
     "VmfCluster",
@@ -154,6 +155,33 @@ class ScatteringScenario:
         """SHA-256 of the canonical JSON document; identifies the scenario."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _kept_mirrors(s: ScatteringScenario) -> set[str]:
+    """Names of the mirrors of ``lattice.MIRRORS`` that map the scenario onto itself.
+
+    A mirror keeps the scenario when it maps the multiset of clusters
+    ``(weight, alpha, modal direction)`` onto itself within 1e-12; it flips the
+    direction's horizontal part, so ``"x"`` maps ``phi`` to ``pi - phi``, ``"y"``
+    to ``-phi`` and ``"rev"`` to ``phi + pi``.  A cluster at the zenith, or of
+    zero concentration, is kept by every mirror.  A mirror that keeps the
+    scenario keeps its spectrum and so its autocorrelation table.
+    """
+    rows = np.array([(c.weight, c.alpha, *(c.modal_direction if c.alpha else (0.0, 0.0, 1.0)))
+                     for c in s.clusters])
+    kept = set()
+    for name, flip in MIRRORS.items():
+        image = rows.copy()
+        image[:, 2:4] = rows[:, 2:4] @ flip.T
+        left = list(range(len(rows)))
+        for row in image:  # match each image to a cluster not matched yet
+            j = next((j for j in left if np.abs(rows[j] - row).max() <= 1e-12), None)
+            if j is None:
+                break
+            left.remove(j)
+        else:
+            kept.add(name)
+    return kept
 
 
 def _hemisphere_exp_integral(cluster: VmfCluster) -> float:

@@ -50,14 +50,15 @@ def run_cli(args, cwd, env=None):
     comes from ``src/`` or an installed copy, and a relative PYTHONPATH such as
     ``src`` cannot stop resolving under ``cwd``.  Empty parts are dropped: a
     trailing separator would put ``cwd`` on the child's ``sys.path``.  The
-    variables in ``env``, if given, override the inherited ones.
+    variables in ``env``, if given, override the inherited ones; one whose
+    override is ``None`` is dropped.
     """
     return run_python(["-m", "fieldsamp", *args], cwd, env)
 
 
 def run_python(args, cwd, env=None):
     """Run the interpreter on ``args`` in a subprocess, importing as ``run_cli`` does."""
-    env = {**os.environ, **(env or {})}
+    env = {k: v for k, v in {**os.environ, **(env or {})}.items() if v is not None}
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(fieldsamp.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(

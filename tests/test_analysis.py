@@ -47,8 +47,8 @@ from fieldsamp.analysis import (
     _quadrant_rows,
     _rows_within,
 )
-from fieldsamp.lattice import _mirror_group
-from fieldsamp.scattering import ScatteringScenario, VmfCluster
+from fieldsamp.lattice import MIRRORS, _mirror_group
+from fieldsamp.scattering import ScatteringScenario, VmfCluster, _kept_mirrors
 from fieldsamp.statfield import _draw_waves, _lattice_wave_sum, _plane_wave_sum
 from helpers import brute_force_disk_modes, broadside_cluster, counting_kernel, shuffled_rows
 
@@ -458,8 +458,34 @@ class TestEigenSpectrum:
     ])
     def test_peak_estimate_is_one_block_of_the_lattice_group(self, q, g):
         n = 34873.0  # hex at L=100: 1.2 GB, where two blocks of N/2 gave 7.3 GB
-        assert _autocorr_peak_bytes(n, q, real=True) == pytest.approx(16.0 * (n / g) ** 2)
-        assert _autocorr_peak_bytes(n, q, real=False) == pytest.approx(16.0 * n ** 2)
+        assert _autocorr_peak_bytes(n, q, set(MIRRORS)) == pytest.approx(16.0 * (n / g) ** 2)
+        assert _autocorr_peak_bytes(n, q, set()) == pytest.approx(16.0 * n ** 2)
+
+    @pytest.mark.parametrize("lattice", ["hex", "rect"])
+    @pytest.mark.parametrize("scenario, kept", [
+        ("isotropic", {"rev", "x", "y"}),
+        ("zenith", {"rev", "x", "y"}),
+        ("two-cluster", {"y"}),
+        ("tilted-90", {"x"}),
+        ("tilted-30", set()),
+        ("pair-30-210", {"rev"}),  # a real table that neither axis flip keeps
+    ])
+    def test_peak_estimate_counts_the_blocks_the_scenario_keeps(self, lattice, scenario, kept):
+        from helpers import two_cluster_scenario
+        s = {"isotropic": lambda: ISO,
+             "zenith": lambda: broadside_cluster(40.0),
+             "two-cluster": two_cluster_scenario,
+             "tilted-90": lambda: _tilted_cluster(90.0),
+             "tilted-30": lambda: _tilted_cluster(30.0),
+             "pair-30-210": lambda: ScatteringScenario(kn=KN, clusters=tuple(
+                 VmfCluster(0.5, math.radians(30.0), math.radians(phi), 20.0)
+                 for phi in (30.0, 210.0)))}[scenario]()
+        q = {"hex": nyquist_hex, "rect": nyquist_rect}[lattice](KN)
+        pts = enumerate_lattice(q, Region(side=6.0 * LAM))
+        n = len(pts)
+        assert _kept_mirrors(s) == kept
+        g = math.sqrt(16.0 * n ** 2 / _autocorr_peak_bytes(n, q, _kept_mirrors(s)))
+        assert g == pytest.approx(len(list(build_autocorr_matrix(pts, NumericAcf(s)).blocks())))
 
     def test_each_block_is_dropped_before_the_next_is_gathered(self, monkeypatch):
         import weakref

@@ -231,24 +231,31 @@ class TestEigs:
         assert run_cli(args, tmp_path).returncode == 0
         assert (tmp_path / "out" / "eigs.csv").read_bytes() == first
 
-    @pytest.mark.parametrize("scenario, g", [("scen40", 4), ("scen2", 1)])
-    def test_memory_estimate_counts_a_zenith_table_as_real(self, scenario, g, request,
-                                                           tmp_path, monkeypatch):
+    @pytest.mark.parametrize("scenario, side, g", [
+        ("scen40", 40, 4),
+        ("scen2", 40, 2),
+        ("scen2", 80, 2),  # 1.8 GiB, where counting no flip gave 7.3 GiB
+    ])
+    def test_memory_estimate_counts_the_kept_flips(self, scenario, side, g, request,
+                                                   tmp_path, monkeypatch):
         # a zenith-only spectrum is radial, so its table splits into the
-        # lattice's four blocks; a tilted cluster may give a complex table
-        # that no flip keeps
+        # lattice's four blocks; the two clusters keep the y flip alone
         needs = []
 
         def record(need, what, held):
             needs.append(need)
             raise cli.ConfigError("stop before any lattice is enumerated")
 
+        def never(*args, **kwargs):
+            raise AssertionError("called before the memory check")
+
         monkeypatch.setattr(cli, "_check_memory", record)
-        rc = cli.main(["eigs", "--scheme", "hex", "--L", "40", "--acf", "numeric",
+        monkeypatch.setattr(cli, "enumerate_lattice", never)
+        rc = cli.main(["eigs", "--scheme", "hex", "--L", str(side), "--acf", "numeric",
                        "--scenario", request.getfixturevalue(scenario),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
-        n = 40.0 ** 2 / abs(nyquist_hex(KN).det)  # wavelength 1
+        n = side ** 2 / abs(nyquist_hex(KN).det)  # wavelength 1
         assert needs == [pytest.approx(16.0 * (n / g) ** 2)]
 
     def test_memory_error_reports_resource_json(self, tmp_path, monkeypatch, capsys):
@@ -340,7 +347,59 @@ class TestMseSweep:
                            "rect_half_lambda"]
 
 
+# the names fieldsamp exports, by home module, besides the six public submodules
+EXPORTS = {
+    "_quad": "ConvergenceError",
+    "geometry": "EllipseShape Region SpectralSupport Wavenumber WaveVector kz migration_filter"
+                " rotation_matrix support_contains support_measure wavevector_from_angles",
+    "lattice": "MIRRORS LatticePointSet PeriodicityMatrix SamplingMatrix alias_free density"
+               " efficiency_gain enumerate_lattice mirror_permutations nyquist_density"
+               " nyquist_ellipse nyquist_hex nyquist_rect periodicity_from_sampling"
+               " sampling_from_periodicity",
+    "kernels": "Kernel bessel_j1 jinc kernel_disk kernel_ellipse kernel_oracle kernel_rect",
+    "scattering": "ScatteringScenario VmfCluster psd spectral_factor_sq"
+                  " support_area_at_threshold support_at_threshold",
+    "statfield": "Acf ClarkeAcf EnergyReport FieldRealization NumericAcf acf_clarke acf_numeric"
+                 " average_energy synthesize",
+    "analysis": "AutocorrMatrix DofReport EigenSpectrum MseReport build_autocorr_matrix"
+                " count_wavenumber_modes dof dof_loss_rect_vs_disk eigen_spectrum"
+                " mse_experiment mse_sweep power_capture_count reconstruct",
+}
+
+
 class TestImports:
+    def test_package_import_loads_no_numpy(self, tmp_path):
+        res = run_python(["-c", "import os, sys, fieldsamp; print('numpy' in sys.modules,"
+                          " os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"],
+                         tmp_path, env={"OPENBLAS_THREAD_TIMEOUT": None})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False", "None"]
+
+    def test_exports_resolve_to_their_home_modules(self):
+        import importlib
+        import fieldsamp
+        submodules = [m for m in EXPORTS if not m.startswith("_")]
+        assert len(fieldsamp.__all__) == 68
+        assert sorted(fieldsamp.__all__) == sorted(
+            [*submodules, *(n for names in EXPORTS.values() for n in names.split())])
+        assert set(fieldsamp.__all__) <= set(dir(fieldsamp))
+        for module, names in EXPORTS.items():
+            home = importlib.import_module(f"fieldsamp.{module}")
+            if module in submodules:
+                assert getattr(fieldsamp, module) is home
+            for name in names.split():
+                assert getattr(fieldsamp, name) is getattr(home, name)
+        with pytest.raises(AttributeError):
+            fieldsamp.no_such_name
+
+    @pytest.mark.parametrize("given, seen", [(None, "16"), ("28", "28")])
+    def test_cli_sets_a_short_blas_spin_unless_given(self, tmp_path, given, seen):
+        res = run_python(["-c", "import os, fieldsamp.cli;"
+                          " print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+                         tmp_path, env={"OPENBLAS_THREAD_TIMEOUT": given})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == [seen]
+
     def test_runs_leave_numpy_ma_unimported(self, tmp_path, scen40):
         # np.unique without an index output imports numpy.ma (numpy 2.x), about
         # 1 MB of traced memory; at 8 wavelengths the hex quadrant rows take
@@ -376,20 +435,27 @@ class TestSidecars:
 
 class TestBlasThreads:
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, scen40, scen2):
-        # eigs.csv does depend on it (README): the eigensolver's round-off does;
-        # the second eigs job is the directional-eigs benchmark's
+        # eigs.csv does depend on the thread count (README): the eigensolver's
+        # round-off does; no output depends on the idle spin, OpenBLAS's own
+        # default 28 against the CLI's 16.  The second eigs job is the
+        # directional-eigs benchmark's.
+        runs = {"1": {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_THREAD_TIMEOUT": None},
+                "2": {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_THREAD_TIMEOUT": None},
+                "2s": {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_THREAD_TIMEOUT": "28"}}
         outputs = {}
-        for threads in ("1", "2"):
-            env = {"OPENBLAS_NUM_THREADS": threads}
+        for label, env in runs.items():
             for args, out in ((["mse-sweep", "--scenario", scen40, "--L-list", "2,8",
                                 "--realizations", "16", "--n-waves", "128"], "m"),
                               (["eigs", "--scheme", "hex", "--L", "20"], "e"),
                               (["eigs", "--scheme", "hex", "--L", "12", "--acf", "numeric",
                                 "--scenario", scen2], "d")):
-                res = run_cli(args + ["--out", threads + out], tmp_path, env=env)
+                res = run_cli(args + ["--out", label + out], tmp_path, env=env)
                 assert res.returncode == 0, res.stderr
-            outputs[threads] = [(tmp_path / (threads + out) / name).read_bytes()
-                                for out, name in (("m", "mse_sweep.csv"),
-                                                  ("e", "eigs_summary.json"),
-                                                  ("d", "eigs_summary.json"))]
-        assert outputs["1"] == outputs["2"]
+            outputs[label] = [(tmp_path / (label + out) / name).read_bytes()
+                              for out, name in (("m", "mse_sweep.csv"),
+                                                ("e", "eigs_summary.json"),
+                                                ("d", "eigs_summary.json"),
+                                                ("e", "eigs.csv"),
+                                                ("d", "eigs.csv"))]
+        assert outputs["1"][:3] == outputs["2"][:3]
+        assert outputs["2s"] == outputs["2"]
