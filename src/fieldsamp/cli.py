@@ -1,7 +1,12 @@
 """Command-line interface: lattices, DoF reports, spectra, and error sweeps.
 
-Every command writes CSV/JSON outputs plus a ``<command>_config.json``
-sidecar holding the fully resolved configuration.  Files are written
+``main`` checks the flags and loads the scenario (``--scenario``, or the
+isotropic one at ``--lambda``) once, then runs the command on it.  A
+command returns its CSV/JSON outputs and the values it resolved; ``main``
+adds the ``<command>_config.json`` sidecar: the resolved arguments, the
+package version, the scenario hash and those values.  A command whose
+allocations grow with its arguments first estimates its peak memory from
+them and rejects one above half of physical memory.  Files are written
 atomically after the computation succeeds.  Exit codes: 0 success, 1
 numerical failure or exhausted memory, 2 configuration error.
 """
@@ -61,10 +66,6 @@ from .statfield import _NODE_CHUNK, ClarkeAcf, FieldRealization, NumericAcf, syn
 
 class ConfigError(Exception):
     """Invalid command configuration; maps to exit code 2."""
-
-
-def _is_isotropic(s: ScatteringScenario) -> bool:
-    return all(c.alpha == 0.0 for c in s.clusters)
 
 
 def _check_args(args) -> None:
@@ -162,11 +163,9 @@ def _shape_dict(shape: EllipseShape) -> dict:
             "phi_rad": shape.phi, "phi_deg": math.degrees(shape.phi)}
 
 
-def _resolved_config(args, extra: dict) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["version"] = __version__
-    cfg.update(extra)
-    return cfg
+def _db(ratio: float) -> float:
+    """A power ratio in decibels; zero, which an exact reconstruction gives, is ``-inf``."""
+    return 10.0 * math.log10(ratio) if ratio > 0.0 else float("-inf")
 
 
 def _write_outputs(outdir: str, outputs: dict) -> None:
@@ -182,11 +181,16 @@ def _write_outputs(outdir: str, outputs: dict) -> None:
 # -- lattice ---------------------------------------------------------------
 
 
-def cmd_lattice(args) -> dict:
-    scenario = _load_scenario(args)
+def cmd_lattice(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
+    # 64 bytes per candidate of enumerate_lattice's integer box, which a thin
+    # tilted ellipse makes far larger than the lattice, and per point for its
+    # CSV text; from max RSS at two sides each of rect, hex and such an ellipse
+    box = np.prod(region.side * np.abs(np.linalg.inv(q.q)).sum(axis=1) + 3.0)
+    _check_memory(64.0 * (box + region.area / abs(q.det)), f"--L {args.L:g}",
+                  "its candidate box and CSV rows")
     pts = enumerate_lattice(q, region)
     p = periodicity_from_sampling(q)
     lam = kn.wavelength
@@ -209,20 +213,21 @@ def cmd_lattice(args) -> dict:
     return {
         "lattice_points.csv": ("csv", ["nx", "ny", "x", "y"], rows),
         "lattice_summary.json": ("json", summary),
-        "lattice_config.json": ("json", _resolved_config(args, {
-            "resolved_sampling_matrix": q.q.tolist()})),
-    }
+    }, {"resolved_sampling_matrix": q.q.tolist()}
 
 
 # -- dof -------------------------------------------------------------------
 
 
-def cmd_dof(args) -> dict:
-    scenario = _load_scenario(args)
+def cmd_dof(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     region = Region(side=args.L * kn.wavelength)
     shape = _ellipse_shape(args, scenario) if args.support == "ellipse" else None
     support = SpectralSupport(args.support, kn, shape)
+    # the mode box spans the support's major axis; 64 bytes per entry from max
+    # RSS at sides of 800 and 1600
+    _check_memory(64.0 * (2.0 * args.L * (shape.a1 if shape else 1.0) + 5.0) ** 2,
+                  f"--L {args.L:g}", "its wavenumber mode box")
     report = dof(support, region)
     out = {
         "support": args.support,
@@ -238,17 +243,13 @@ def cmd_dof(args) -> dict:
         if args.a1 is None:
             area = support_area_at_threshold(scenario, args.threshold_db)
             out["dof_direct_area"] = region.area * area / (2.0 * math.pi) ** 2
-    return {
-        "dof.json": ("json", out),
-        "dof_config.json": ("json", _resolved_config(args, {})),
-    }
+    return {"dof.json": ("json", out)}, {}
 
 
 # -- acf -------------------------------------------------------------------
 
 
-def cmd_acf(args) -> dict:
-    scenario = _load_scenario(args)
+def cmd_acf(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     lam = scenario.kn.wavelength
     n = int(round(args.rmax / args.step))
     _check_memory(16.0 * (n + 1) * _NODE_CHUNK, f"--rmax {args.rmax:g}",
@@ -261,17 +262,13 @@ def cmd_acf(args) -> dict:
     clarke = ClarkeAcf(scenario.kn).eval_many(disp).real
     rows = ((r / lam, v.real, v.imag, abs(v), c)
             for r, v, c in zip(rs, vals, clarke))
-    return {
-        "acf.csv": ("csv", ["r_over_lambda", "re", "im", "abs", "clarke"], rows),
-        "acf_config.json": ("json", _resolved_config(args, {
-            "scenario_hash": scenario.scenario_hash})),
-    }
+    return {"acf.csv": ("csv", ["r_over_lambda", "re", "im", "abs", "clarke"], rows)}, {}
 
 
 # -- eigs ------------------------------------------------------------------
 
 
-def cmd_eigs(args) -> dict:
+def cmd_eigs(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     """The autocorrelation eigen-spectrum on a lattice, and its power-capture counts.
 
     The memory guard runs before any lattice is enumerated.  It sizes the
@@ -279,11 +276,11 @@ def cmd_eigs(args) -> dict:
     the sinc ACF, those that keep the scenario for a numeric one -- and the
     lattice (``analysis._autocorr_peak_bytes``).
     """
-    scenario = _load_scenario(args)
     kn = scenario.kn
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
-    use_clarke = args.acf == "clarke" or (args.acf == "auto" and _is_isotropic(scenario))
+    use_clarke = args.acf == "clarke" or (
+        args.acf == "auto" and all(c.alpha == 0.0 for c in scenario.clusters))
     kept = set(MIRRORS) if use_clarke else _kept_mirrors(scenario)
     _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, kept),
                   f"--L {args.L:g}", "an autocorrelation block")
@@ -293,7 +290,7 @@ def cmd_eigs(args) -> dict:
     top = spectrum.values[0]
     cum = np.cumsum(spectrum.values) / spectrum.total
     rows = (
-        (rank + 1, v, 10.0 * math.log10(v / top) if v > 0.0 else float("-inf"), c)
+        (rank + 1, v, _db(v / top), c)
         for rank, (v, c) in enumerate(zip(spectrum.values, cum))
     )
     support = SpectralSupport("disk" if args.scheme == "hex" else args.scheme, kn, shape)
@@ -312,26 +309,30 @@ def cmd_eigs(args) -> dict:
     return {
         "eigs.csv": ("csv", ["rank", "eigenvalue", "eigenvalue_db", "cumulative_fraction"], rows),
         "eigs_summary.json": ("json", summary),
-        "eigs_config.json": ("json", _resolved_config(args, {
-            "scenario_hash": scenario.scenario_hash})),
-    }
+    }, {}
 
 
 # -- reconstruct -----------------------------------------------------------
 
 
-def cmd_reconstruct(args) -> dict:
-    scenario = _load_scenario(args)
+def cmd_reconstruct(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     lam = kn.wavelength
     region = Region(side=args.L * lam)
     shape = _covering_shape(args, scenario)
     q_ny, kern_ny = nyquist_ellipse(kn, shape), kernel_ellipse(kn, shape)
     q_half, kern_half = nyquist_rect(kn), kernel_rect(kn)
+    n_seg = int(round(args.segment / (1.0 / 16.0)))
+    # the larger (half-wavelength) interpolation matrix, 8 bytes an entry plus
+    # its complex copy in the product, and 96 bytes per sample from max RSS at
+    # sides of 200 and 300
+    n_ny, n_half = region.area / abs(q_ny.det), region.area / abs(q_half.det)
+    _check_memory(24.0 * (n_seg + 1) * n_half + 96.0 * (n_ny + n_half),
+                  f"--L {args.L:g} with --segment {args.segment:g}",
+                  "its samples and interpolation matrices")
     pts_ny = enumerate_lattice(q_ny, region)
     pts_half = enumerate_lattice(q_half, region)
 
-    n_seg = int(round(args.segment / (1.0 / 16.0)))
     xs = (np.arange(n_seg + 1) - n_seg / 2.0) * lam / 16.0
     seg = np.column_stack([xs, np.zeros_like(xs)])
 
@@ -359,17 +360,13 @@ def cmd_reconstruct(args) -> dict:
     return {
         "reconstruct.csv": ("csv", ["x", "re_true", "re_hat_nyquist", "re_hat_halflambda"], rows),
         "reconstruct_summary.json": ("json", summary),
-        "reconstruct_config.json": ("json", _resolved_config(args, {
-            "scenario_hash": scenario.scenario_hash,
-            "ellipse": _shape_dict(shape)})),
-    }
+    }, {"ellipse": _shape_dict(shape)}
 
 
 # -- mse-sweep -------------------------------------------------------------
 
 
-def cmd_mse_sweep(args) -> dict:
-    scenario = _load_scenario(args)
+def cmd_mse_sweep(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     lam = kn.wavelength
     try:
@@ -396,23 +393,17 @@ def cmd_mse_sweep(args) -> dict:
     per_side = mse_sweep(scenario, pairs, [Region(side=side * lam) for side in sides],
                          n_realizations=args.realizations, seed=args.seed,
                          n_waves=args.n_waves, workers=args.workers)
-    rows = [(side, name, 10.0 * math.log10(rep.normalized))
+    rows = [(side, name, _db(rep.normalized))
             for side, reports in zip(sides, per_side)
             for (name, _, _), rep in zip(schemes, reports)]
-    return {
-        "mse_sweep.csv": ("csv", ["L_over_lambda", "scheme", "normalized_mse_db"], rows),
-        "mse_sweep_config.json": ("json", _resolved_config(args, {
-            "scenario_hash": scenario.scenario_hash,
-            "ellipse": _shape_dict(shape),
-            "schemes": [name for name, _, _ in schemes]})),
-    }
+    return {"mse_sweep.csv": ("csv", ["L_over_lambda", "scheme", "normalized_mse_db"], rows)}, {
+        "ellipse": _shape_dict(shape), "schemes": [name for name, _, _ in schemes]}
 
 
 # -- support-fit -----------------------------------------------------------
 
 
-def cmd_support_fit(args) -> dict:
-    scenario = _load_scenario(args)
+def cmd_support_fit(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     disk_area = math.pi * kn.kappa ** 2
     out = {"threshold_db": args.threshold_db, "lambda": kn.wavelength}
@@ -428,11 +419,7 @@ def cmd_support_fit(args) -> dict:
             entry["dof_formula"] = dof(support, region).dof_real
             entry["dof_direct_area"] = region.area * area / (2.0 * math.pi) ** 2
         out[label] = entry
-    return {
-        "support_fit.json": ("json", out),
-        "support_fit_config.json": ("json", _resolved_config(args, {
-            "scenario_hash": scenario.scenario_hash})),
-    }
+    return {"support_fit.json": ("json", out)}, {}
 
 
 # -- parser ----------------------------------------------------------------
@@ -529,7 +516,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        outputs = args.func(args)
+        scenario = _load_scenario(args)
+        outputs, resolved = args.func(args, scenario)
     except ConfigError as exc:
         _fail("config", exc)
         return 2
@@ -540,6 +528,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         _fail("resource", exc)
         return 1
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config.update(version=__version__, scenario_hash=scenario.scenario_hash, **resolved)
+    outputs[f"{args.command.replace('-', '_')}_config.json"] = ("json", config)
     _write_outputs(args.out, outputs)
     return 0
 

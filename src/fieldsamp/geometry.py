@@ -102,6 +102,15 @@ def _as_xy(k) -> tuple[float, float]:
     return float(arr[0]), float(arr[1])
 
 
+def _fold(angle: float, period: float) -> float:
+    """``angle`` modulo ``period``, in ``[0, period)``.
+
+    ``%`` rounds a tiny negative angle up to ``period`` itself; that is 0.
+    """
+    r = angle % period
+    return 0.0 if r == period else r
+
+
 def rotation_matrix(angle: float) -> np.ndarray:
     """Counterclockwise 2x2 rotation matrix for the given angle in radians."""
     c, s = math.cos(angle), math.sin(angle)
@@ -136,7 +145,7 @@ class EllipseShape:
             raise ValueError(
                 f"semi-axis factors must satisfy 0 < a2 <= a1 <= 1, got a1={self.a1!r}, a2={self.a2!r}"
             )
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        object.__setattr__(self, "phi", _fold(self.phi, TWO_PI))
 
     @property
     def axis_matrix(self) -> np.ndarray:

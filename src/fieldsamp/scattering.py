@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._quad import hemisphere_rule, refine
-from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy
+from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy, _fold
 from .lattice import MIRRORS
 
 __all__ = [
@@ -105,25 +105,24 @@ class ScatteringScenario:
         extra = set(data) - {"lambda", "clusters"}
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-        try:
-            kn = Wavenumber.from_wavelength(float(data["lambda"]))
-            raw = data["clusters"]
-        except KeyError as exc:
-            raise ValueError(f"scenario document missing key {exc}") from exc
+        kn = Wavenumber.from_wavelength(_number(data, "lambda", "scenario document"))
+        if "clusters" not in data:
+            raise ValueError("scenario document missing key 'clusters'")
+        if not isinstance(data["clusters"], (list, tuple)):
+            raise ValueError("scenario clusters must be a JSON array")
         clusters = []
-        for i, c in enumerate(raw):
+        for i, c in enumerate(data["clusters"]):
+            if not isinstance(c, dict):
+                raise ValueError(f"cluster {i} must be a JSON object, got {c!r}")
             extra = set(c) - {"weight", "theta_deg", "phi_deg", "alpha"}
             if extra:
                 raise ValueError(f"cluster {i} has unknown keys: {sorted(extra)}")
-            try:
-                clusters.append(VmfCluster(
-                    weight=float(c["weight"]),
-                    theta_r=math.radians(float(c["theta_deg"])),
-                    phi_r=math.radians(float(c["phi_deg"]) % 360.0),
-                    alpha=float(c["alpha"]),
-                ))
-            except KeyError as exc:
-                raise ValueError(f"cluster {i} missing key {exc}") from exc
+            clusters.append(VmfCluster(
+                weight=_number(c, "weight", f"cluster {i}"),
+                theta_r=math.radians(_number(c, "theta_deg", f"cluster {i}")),
+                phi_r=math.radians(_fold(_number(c, "phi_deg", f"cluster {i}"), 360.0)),
+                alpha=_number(c, "alpha", f"cluster {i}"),
+            ))
         return cls(kn=kn, clusters=tuple(clusters))
 
     def to_dict(self) -> dict:
@@ -155,6 +154,16 @@ class ScatteringScenario:
         """SHA-256 of the canonical JSON document; identifies the scenario."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _number(doc: dict, key: str, where: str) -> float:
+    """``doc[key]`` as a float; a missing key or a non-number names the field."""
+    if key not in doc:
+        raise ValueError(f"{where} missing key {key!r}")
+    try:
+        return float(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} {key} must be a number, got {doc[key]!r}") from exc
 
 
 def _kept_mirrors(s: ScatteringScenario) -> set[str]:
@@ -315,7 +324,7 @@ def support_at_threshold(s: ScatteringScenario, threshold_db: float = -20.0,
             need = np.nanmax(np.abs(proj[:, 1 - hi]) / room)
         a2 = max(a2, need)
     v_major = vecs[:, hi]
-    phi = math.atan2(v_major[1], v_major[0]) % TWO_PI
+    phi = math.atan2(v_major[1], v_major[0])
     return EllipseShape(a1=float(a1), a2=float(min(a2, 1.0)), phi=phi)
 
 

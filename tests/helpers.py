@@ -57,12 +57,16 @@ def run_cli(args, cwd, env=None):
 
 
 def run_python(args, cwd, env=None):
-    """Run the interpreter on ``args`` in a subprocess, importing as ``run_cli`` does."""
+    """Run the interpreter on ``args`` in a subprocess, importing as ``run_cli`` does.
+
+    Warnings are errors in the child (``-W error``), as ``pyproject.toml``'s
+    ``filterwarnings`` makes the numpy ones in process.
+    """
     env = {k: v for k, v in {**os.environ, **(env or {})}.items() if v is not None}
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(fieldsamp.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *[str(a) for a in args]],
+        [sys.executable, "-W", "error", *[str(a) for a in args]],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
 

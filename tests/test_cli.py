@@ -83,6 +83,11 @@ class TestUsage:
         ["eigs", "--scheme", "hex", "--L", "100000"],
         # quadrature tables larger than physical memory, rejected before any allocation
         ["acf", "--rmax", "1e9"],
+        # candidate boxes, mode boxes and interpolation matrices larger than
+        # physical memory, rejected before any allocation
+        ["lattice", "--scheme", "hex", "--L", "100000"],
+        ["dof", "--L", "1e6"],
+        ["reconstruct", "--a1", "1", "--a2", "1", "--L", "1e5"],
     ])
     def test_bad_flag_values_exit_two(self, args, tmp_path):
         write_scenario(tmp_path / "s.json", two_cluster_json())
@@ -106,6 +111,31 @@ class TestUsage:
         assert "physical memory" in doc["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, allocating", [
+        (["lattice", "--scheme", "hex", "--L", "100000"], "enumerate_lattice"),
+        (["lattice", "--scheme", "ellipse", "--a1", "0.9", "--a2", "0.01", "--phi-deg", "45",
+          "--L", "20000"], "enumerate_lattice"),
+        (["dof", "--L", "1e6"], "count_wavenumber_modes"),
+        (["dof", "--support", "ellipse", "--a1", "0.5", "--a2", "0.5", "--L", "1e6"],
+         "count_wavenumber_modes"),
+        (["reconstruct", "--a1", "1", "--a2", "1", "--L", "1e5"], "enumerate_lattice"),
+        (["reconstruct", "--a1", "1", "--a2", "1", "--L", "400", "--segment", "1e4"],
+         "enumerate_lattice"),
+    ], ids=["lattice-hex", "lattice-thin-ellipse", "dof-disk", "dof-ellipse",
+            "reconstruct-side", "reconstruct-segment"])
+    def test_oversized_grids_rejected_before_any_allocation(self, args, allocating, tmp_path,
+                                                             monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("called before the memory check")
+
+        monkeypatch.setattr(cli, allocating, never)
+        out = tmp_path / "out"
+        assert cli.main(args + ["--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "config"
+        assert "physical memory" in doc["error"]
+        assert not out.exists()
+
     def test_memory_guard_leaves_headroom(self, tmp_path, monkeypatch, capsys):
         # --rmax 1000 needs about 7.81 GiB, just below 7.84 GiB of physical
         # memory: the process would be killed before it finished
@@ -123,6 +153,20 @@ class TestUsage:
         assert doc["kind"] == "config"
         assert "physical memory" in doc["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"lambda": 1.0, "clusters": 5},
+        {"lambda": 1.0, "clusters": [7]},
+        {"lambda": None, "clusters": [{"weight": 1.0, "theta_deg": 0.0, "phi_deg": 0.0,
+                                       "alpha": 1.0}]},
+        {"lambda": 1.0, "clusters": [{"weight": None, "theta_deg": 0.0, "phi_deg": 0.0,
+                                      "alpha": 1.0}]},
+    ], ids=["clusters-number", "cluster-number", "lambda-null", "weight-null"])
+    def test_scenario_of_the_wrong_types_is_a_config_error(self, doc, tmp_path):
+        write_scenario(tmp_path / "bad.json", doc)
+        res = run_cli(["acf", "--scenario", "bad.json"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["kind"] == "config"
 
     def test_invalid_scenario_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -172,6 +216,21 @@ class TestLattice:
         assert res.returncode == 0, res.stderr
         summary = read_json(tmp_path / "out" / "lattice_summary.json")
         assert summary["ellipse"]["phi_deg"] == pytest.approx(30.0, rel=1e-12)
+
+    def test_tiny_negative_orientation_written_as_zero(self, tmp_path):
+        # phi % 2pi rounds -1e-14 degrees up to 2pi itself
+        res = run_cli(["lattice", "--scheme", "ellipse", "--L", "2", "--a1", "0.8",
+                       "--a2", "0.5", "--phi-deg=-1e-14", "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        ellipse = read_json(tmp_path / "out" / "lattice_summary.json")["ellipse"]
+        assert ellipse["phi_deg"] == 0.0 and ellipse["phi_rad"] == 0.0
+
+    def test_scenario_with_a_tiny_negative_azimuth(self, tmp_path):
+        scen = write_scenario(tmp_path / "s.json", {"lambda": 1.0, "clusters": [
+            {"weight": 1.0, "theta_deg": 10.0, "phi_deg": -1e-14, "alpha": 50.0}]})
+        res = run_cli(["lattice", "--scheme", "ellipse", "--L", "2", "--scenario", scen,
+                       "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
 
 
 class TestDof:
@@ -346,6 +405,21 @@ class TestMseSweep:
         assert schemes == ["ellipse_nyquist", "rect_matched", "hex",
                            "rect_half_lambda"]
 
+    def test_exact_reconstruction_written_as_minus_infinity(self, tmp_path):
+        # below half a wavelength the grid is its centre point and a rect
+        # lattice holds only the origin, so the reconstruction there is exact
+        base = ["mse-sweep", "--a1", "1", "--a2", "1", "--realizations", "8",
+                "--n-waves", "32", "--out"]
+        res = run_cli(base + ["a", "--L-list", "1,0.4"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert run_cli(base + ["b", "--L-list", "1"], tmp_path).returncode == 0
+        lines = (tmp_path / "a" / "mse_sweep.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[2] for r in rows if r[0] == "0.4" and r[1].startswith("rect")] == [
+            "-inf", "-inf"]
+        assert all(math.isfinite(float(r[2])) for r in rows if not r[1].startswith("rect"))
+        assert lines[:5] == (tmp_path / "b" / "mse_sweep.csv").read_text().splitlines()
+
 
 # the names fieldsamp exports, by home module, besides the six public submodules
 EXPORTS = {
@@ -432,6 +506,26 @@ class TestSidecars:
         assert cfg["version"]
         assert len(cfg["scenario_hash"]) == 64
 
+    @pytest.mark.parametrize("args, resolved", [
+        (["lattice", "--scheme", "ellipse", "--L", "2"], ["resolved_sampling_matrix"]),
+        (["dof", "--support", "ellipse", "--L", "2"], []),
+        (["acf", "--rmax", "0.25"], []),
+        (["eigs", "--scheme", "rect", "--L", "2"], []),
+        (["reconstruct", "--L", "2", "--segment", "1", "--n-waves", "16"], ["ellipse"]),
+        (["mse-sweep", "--L-list", "1", "--realizations", "2", "--n-waves", "16"],
+         ["ellipse", "schemes"]),
+        (["support-fit"], []),
+    ], ids=["lattice", "dof", "acf", "eigs", "reconstruct", "mse-sweep", "support-fit"])
+    def test_every_command_names_its_scenario(self, args, resolved, tmp_path, scen40):
+        res = run_cli(args + ["--scenario", scen40, "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        cfg = read_json(tmp_path / "out" / f"{args[0].replace('-', '_')}_config.json")
+        assert cfg["command"] == args[0]
+        assert cfg["version"]
+        assert cfg["scenario_hash"] == ScatteringScenario.from_json(scen40).scenario_hash
+        assert set(cfg) == set(vars(cli.build_parser().parse_args(args))) - {"func"} | {
+            "version", "scenario_hash", *resolved}
+
 
 class TestBlasThreads:
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, scen40, scen2):
@@ -459,3 +553,25 @@ class TestBlasThreads:
                                                 ("d", "eigs.csv"))]
         assert outputs["1"][:3] == outputs["2"][:3]
         assert outputs["2s"] == outputs["2"]
+
+    def test_other_commands_do_not_depend_on_the_thread_count(self, tmp_path, scen40, scen2):
+        jobs = [["lattice", "--scheme", "ellipse", "--L", "20", "--scenario", scen2],
+                ["dof", "--support", "ellipse", "--L", "20", "--scenario", scen2],
+                ["acf", "--rmax", "3", "--scenario", scen2],
+                ["acf", "--rmax", "6", "--step", "0.03125", "--scenario", scen40],
+                ["reconstruct", "--L", "40", "--scenario", scen40],
+                ["reconstruct", "--L", "20", "--scenario", scen2],
+                ["support-fit", "--L", "20", "--scenario", scen2]]
+        outputs = {}
+        for threads in ("1", "2"):
+            # the same --out under each thread count, so the sidecars match too
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            for i, args in enumerate(jobs):
+                res = run_cli(args + ["--out", str(i)], cwd,
+                              env={"OPENBLAS_NUM_THREADS": threads})
+                assert res.returncode == 0, res.stderr
+            outputs[threads] = {str(p.relative_to(cwd)): p.read_bytes()
+                                for p in sorted(cwd.rglob("*")) if p.is_file()}
+        assert len(outputs["1"]) == 17
+        assert outputs["1"] == outputs["2"]

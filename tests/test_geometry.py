@@ -58,6 +58,15 @@ class TestEllipseShape:
         shape = EllipseShape(a1=0.8, a2=0.3, phi=-0.5)
         assert 0.0 <= shape.phi < 2.0 * math.pi
 
+    @pytest.mark.parametrize("phi", [-1e-17, -1e-300, -0.0])
+    def test_tiny_negative_angle_folds_to_zero(self, phi):
+        # phi % 2pi rounds -1e-17 to 2pi itself
+        assert EllipseShape(a1=0.8, a2=0.3, phi=phi).phi == 0.0
+
+    @pytest.mark.parametrize("phi", [-0.5, -1e-9, 7.0, 2.0 * math.pi])
+    def test_angles_keep_their_remainder(self, phi):
+        assert EllipseShape(a1=0.8, a2=0.3, phi=phi).phi == phi % (2.0 * math.pi)
+
     @pytest.mark.parametrize("a1,a2", [(0.5, 0.8), (1.2, 0.5), (0.5, 0.0), (0.0, 0.0)])
     def test_axis_ordering_and_bounds(self, a1, a2):
         with pytest.raises(ValueError):

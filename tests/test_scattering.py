@@ -72,6 +72,32 @@ class TestScenarioConstruction:
         with pytest.raises(ValueError, match="missing key"):
             ScatteringScenario.from_dict({"clusters": []})
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"lambda": 1.0, "clusters": 5}, "clusters"),
+        ({"lambda": 1.0, "clusters": [7]}, "cluster 0"),
+        ({"lambda": None, "clusters": []}, "lambda"),
+        ({"lambda": 1.0, "clusters": [
+            {"weight": None, "theta_deg": 0.0, "phi_deg": 0.0, "alpha": 1.0}]}, "weight"),
+    ], ids=["clusters-number", "cluster-number", "lambda-null", "weight-null"])
+    def test_from_dict_names_a_field_of_the_wrong_type(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            ScatteringScenario.from_dict(doc)
+
+    @pytest.mark.parametrize("phi_deg", [-1e-14, -1e-300, -0.0, 0.0])
+    def test_tiny_negative_azimuth_folds_to_zero(self, phi_deg):
+        # -1e-14 % 360 rounds to 360, which the cluster would reject as 2*pi
+        s = ScatteringScenario.from_dict({"lambda": 1.0, "clusters": [
+            {"weight": 1.0, "theta_deg": 10.0, "phi_deg": phi_deg, "alpha": 3.0}]})
+        assert s.clusters[0].phi_r == 0.0
+        assert s.scenario_hash == ScatteringScenario.from_dict({"lambda": 1.0, "clusters": [
+            {"weight": 1.0, "theta_deg": 10.0, "phi_deg": 0.0, "alpha": 3.0}]}).scenario_hash
+
+    @pytest.mark.parametrize("phi_deg", [-30.0, -1e-9, 359.99999999999994, 720.5, 0.1])
+    def test_accepted_azimuths_keep_their_value(self, phi_deg):
+        s = ScatteringScenario.from_dict({"lambda": 1.0, "clusters": [
+            {"weight": 1.0, "theta_deg": 10.0, "phi_deg": phi_deg, "alpha": 3.0}]})
+        assert s.clusters[0].phi_r == math.radians(phi_deg % 360.0)
+
     def test_degrees_converted_and_azimuth_wrapped(self):
         s = ScatteringScenario.from_dict({"lambda": 2.0, "clusters": [
             {"weight": 1.0, "theta_deg": 10.0, "phi_deg": 540.0, "alpha": 3.0}]})
