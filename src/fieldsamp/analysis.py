@@ -366,7 +366,11 @@ def reconstruct(samples: FieldRealization, q: SamplingMatrix, kern: Kernel, quer
     _check_on_lattice(positions, q)
     _check_pairing(kern, q)
     f = _interp_matrix(kern, query, positions)
-    return f @ samples.values
+    v = np.asarray(samples.values)
+    if not np.iscomplexobj(v):
+        return f @ v
+    # two real products: a complex one would first copy f to complex, twice its size
+    return f @ v.real + 1j * (f @ v.imag)
 
 
 @dataclass(frozen=True)
@@ -414,14 +418,22 @@ def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     """Worst-case peak bytes of ``mse_sweep`` whose largest region is ``region``.
 
     With ``G`` grid points, at most ``N ~ area / |det Q|`` samples per scheme
-    and ``n = min(R, 128)`` realizations per group: the ``(G+1)//2`` half
-    rows of the interpolation matrix (``8 G N / 2`` bytes), the group's
-    truth on the grid (``16 G n``) and one scheme's samples (``16 N n``).
+    and ``n = min(R, 128)`` realizations per group: the group's truth on the
+    grid (``16 G n``), one scheme's samples and their four mirror
+    permutations side by side (``80 N n``), and ``r`` streamed rows over the
+    samples and over the permuted samples' ``8 n`` columns, ``8 r (N + 32 n)``:
+    a chunk, its product and its gathered truth and errors, a few copies
+    each.  ``r = 2 n + 3 (h + 1)`` for the grid's half-width ``h``: a chunk
+    has fewer than ``2 n + h + 1`` rows, and a period line's table holds
+    ``h + 1`` rows over fewer than ``2 N`` samples.  Last, one kernel call's
+    temporaries, about 20 arrays of ``_INTERP_ELEMS`` values.
     """
-    n_grid = (2 * _grid_half(s, region) + 1) ** 2
+    h = _grid_half(s, region)
     n_points = max(region.area / abs(q.det) for q, _ in schemes)
     group = min(n_realizations, _MSE_GROUP)
-    return 8.0 * ((n_grid + 1) // 2) * n_points + 16.0 * (n_grid + n_points) * group
+    rows = 2 * group + 3 * (h + 1)
+    return (16.0 * (2 * h + 1) ** 2 * group + 80.0 * n_points * group
+            + 8.0 * rows * (n_points + 32 * group) + 160.0 * _INTERP_ELEMS)
 
 
 def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
@@ -453,11 +465,16 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     run in groups of 128; a group's truth is kept as an ``n_grid x group``
     complex table, so at most ``min(R, 128) * n_grid * 16`` bytes of it are
     held whatever ``n_realizations`` (R) is, next to one scheme's samples
-    (``min(R, 128) * N * 16`` bytes).  Each cell's interpolation matrix is
-    rebuilt per group, once when R <= 128.  Within a group, realizations are
-    reconstructed in fixed blocks of 16, one matrix product per block; block
-    boundaries depend on R alone, and a cell's errors are summed in the same
-    order whichever other schemes and regions run with it.  ``workers`` is
+    (``min(R, 128) * N * 16`` bytes) and, for a cell reconstructed through
+    its mirrors, their permutations (up to four times that).  Each cell's
+    interpolation rows are rebuilt per group, once when R <= 128, and
+    streamed: each chunk of rows is applied to the whole group and dropped,
+    so at most one chunk is held, of about ``2 min(R, 128)`` rows (shifts
+    of one quadrant grid line, or rows built densely).  Within a group,
+    realizations are reconstructed in fixed blocks of 16 and every grid
+    point's errors are added block by block in order; block boundaries
+    depend on R alone, and a cell's errors are summed in the same order
+    whichever other schemes and regions run with it.  ``workers`` is
     validated but changes neither the results nor the execution: the BLAS
     library already runs the matrix products on every core it uses.
 
@@ -482,8 +499,8 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
       unrotated ellipse) only the grid quadrant ``x, y <= 0`` is built,
       about a quarter of the rows; otherwise (a rotated ellipse, a sheared
       ``Q``) the ``(G+1)//2`` rows up to the grid centre.  One product per
-      block against the samples and their permutations gives the whole
-      grid.
+      chunk of rows against the samples and their permutations gives the
+      grid points those rows reach.
     - Within the quadrant, when ``p`` grid steps along a grid axis make a
       lattice vector ``Q m`` (hex: ``(0, wavelength)``, ``p = 8``), the row
       ``p`` steps on is the row over the samples shifted by ``m``, so the
@@ -494,6 +511,7 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     dense build by round-off, so figures agree with it to round-off, not
     bit for bit.  Every build checks its centre row (for the 1-D factors,
     the rows at the grid centre) against each mirror it uses within 1e-12,
+    before any error is added,
     and the separable build checks its factors' product against the kernel
     at one grid point off both axes within 1e-12 relative, so a kernel that
     is not even, not invariant under a flip of its support, or not separable
@@ -592,19 +610,27 @@ def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
 
     ``axis`` holds the grid's coordinates along x and along y, ``samples``
     the group's fields at ``pts`` and ``truth`` on the whole grid, one column
-    per realization.
+    per realization.  Realizations are reconstructed in blocks of
+    ``_MSE_BLOCK``, each block's real parts beside its imaginary parts, and
+    each grid point's errors are added block by block, in order.
     """
     if kern.support.kind == "rect" and q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0:
         recon = _separable_reconstruction(kern, pts, axis)
+        for b0 in range(0, samples.shape[1], _MSE_BLOCK):
+            es = samples[:, b0:b0 + _MSE_BLOCK]
+            both = recon(np.hstack([es.real, es.imag])).reshape(len(truth), 1, 2, -1)
+            total += _squared_errors(truth[:, None, b0:b0 + es.shape[1]], both)[:, 0]
     else:
-        recon = _mirrored_reconstruction(kern, pts, axis)
-    for b0 in range(0, samples.shape[1], _MSE_BLOCK):
-        es = samples[:, b0:b0 + _MSE_BLOCK]
-        width = es.shape[1]
-        both = recon(np.hstack([es.real, es.imag]))
-        block = truth[:, b0:b0 + width]
-        total += ((block.real - both[:, :width]) ** 2
-                  + (block.imag - both[:, width:]) ** 2).sum(axis=1)
+        _add_mirrored_errors(total, kern, pts, axis, samples, truth)
+
+
+def _squared_errors(truth: np.ndarray, both: np.ndarray) -> np.ndarray:
+    """Per grid row and block, the squared errors summed over the block's realizations.
+
+    ``truth`` is ``(rows, blocks, width)`` and ``both`` the reconstructions,
+    ``(rows, blocks, 2, width)``: real parts, then imaginary parts.
+    """
+    return ((truth.real - both[..., 0, :]) ** 2 + (truth.imag - both[..., 1, :]) ** 2).sum(axis=-1)
 
 
 def _check_centre_row(row: np.ndarray, perm: np.ndarray, what: str) -> None:
@@ -645,8 +671,9 @@ def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarr
     return recon
 
 
-def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray):
-    """Grid reconstruction from the interpolation rows left by the mirrors.
+def _add_mirrored_errors(total: np.ndarray, kern: Kernel, pts: LatticePointSet,
+                         axis: np.ndarray, samples: np.ndarray, truth: np.ndarray) -> None:
+    """``_add_squared_errors`` from the interpolation rows left by the mirrors.
 
     A mirror ``F`` of the point set that also maps the kernel's support onto
     itself leaves the kernel unchanged, and the grid is mirror-symmetric
@@ -654,8 +681,12 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     samples permuted.  These mirrors form a group (``_mirror_group``); with
     four elements (both axis flips) only the quadrant ``x, y <= 0`` is
     built (``_quadrant_rows``), otherwise (a rotated ellipse, a sheared
-    ``Q``) the rows up to the grid centre; one product against the samples
-    and their permutations gives the whole grid.
+    ``Q``) the rows up to the grid centre.  The rows come in chunks, and
+    each chunk is multiplied against every block's samples and their
+    permutations and dropped, so no more than a chunk of rows is ever held;
+    the grid points that different rows reach are disjoint.  The centre row
+    is built first and checked against each mirror within 1e-12, so a kernel
+    the mirrors do not keep raises before any error is added.
     """
     base = kern.support.to_base
 
@@ -666,30 +697,67 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     names, group, signs, _, _ = _mirror_group(pts, keeps_support)
     size = len(axis)
     h = size // 2
+    centre = _interp_matrix(kern, np.array([[axis[h], axis[h]]]), pts.positions)[0]
+    for name, perm in zip(names[1:], group[1:]):
+        _check_centre_row(centre, perm, "even" if name == "rev"
+                          else f"invariant under the {name} flip of its support")
     quadrant = len(group) == 4  # else the rows up to the grid centre
     width = h + 1 if quadrant else size
     ii, jj = np.divmod(np.arange(width ** 2 if quadrant else (size * size + 1) // 2), width)
-    f = _quadrant_rows(kern, pts, axis) if quadrant else None
-    if f is None:  # every row from the kernel
-        f = _interp_matrix(kern, np.column_stack([axis[ii], axis[jj]]), pts.positions)
-    for name, perm in zip(names[1:], group[1:]):  # the last row built is the grid centre
-        _check_centre_row(f[-1], perm, "even" if name == "rev"
-                          else f"invariant under the {name} flip of its support")
-    dests = [(h + sx * (ii - h)) * size + h + sy * (jj - h) for sx, sy in signs]
+    dests = np.array([(h + sx * (ii - h)) * size + h + sy * (jj - h) for sx, sy in signs])
+    # a grid point that several mirrors of a row reach takes the first one's
+    # value: the identity's, on a row that a mirror maps onto itself
+    firsts = np.array([(dests[:k] != dests[k]).all(axis=0) for k in range(len(group))])
+    # per mirror, each block's permuted samples, real parts then imaginary
+    # parts, side by side, so that each chunk takes one product; a block
+    # starting at realization b0 is at column 2 (k n + b0) of mirror k
+    n = samples.shape[1]
+    stack = np.empty((len(pts), 2 * len(group) * n))
+    for k, perm in enumerate(group):
+        for b0 in range(0, n, _MSE_BLOCK):
+            es = samples[perm, b0:b0 + _MSE_BLOCK]
+            c, cols = 2 * (k * n + b0), es.shape[1]
+            stack[:, c:c + cols], stack[:, c + cols:c + 2 * cols] = es.real, es.imag
+    # the whole blocks, then the last if it is partial: (first realization, blocks, width)
+    full = n - n % _MSE_BLOCK
+    spans = [(b0, (stop - b0) // cols, cols)
+             for b0, stop, cols in ((0, full, _MSE_BLOCK), (full, n, n - full)) if stop > b0]
+    # chunks of at least 2 n rows, as many as the group has real and imaginary
+    # columns: on fewer, repacking the stack for every product costs time
+    query = np.column_stack([axis[ii], axis[jj]])
+    for rows, f in _mirror_rows(kern, pts, axis, query, quadrant, 2 * n):
+        first = firsts[:, rows]
+        dest = dests[:, rows][first]
+        # (mirror, row) pairs in the order of dest, each with its reconstructions
+        both = (f @ stack).reshape(len(rows), len(group), 2 * n).transpose(1, 0, 2)[first]
+        errs = [total[dest]]
+        for b0, blocks, cols in spans:
+            errs.append(_squared_errors(
+                truth[dest, b0:b0 + blocks * cols].reshape(-1, blocks, cols),
+                both[:, 2 * b0:2 * (b0 + blocks * cols)].reshape(-1, blocks, 2, cols)).T)
+        # block by block, in order, as the separable build adds them
+        total[dest] = np.cumsum(np.vstack(errs), axis=0)[-1]
+        del f, both  # before the next chunk is built
 
-    def recon(stacked):
-        cols = stacked.shape[1]
-        both = f @ np.hstack([stacked[p] for p in group])
-        out = np.empty((size * size, cols))
-        # the identity goes last, so it decides the rows a mirror maps onto themselves
-        for k in reversed(range(len(dests))):
-            out[dests[k]] = both[:, k * cols:(k + 1) * cols]
-        return out
 
-    return recon
+def _mirror_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, query: np.ndarray,
+                 quadrant: bool, rows: int):
+    """The interpolation rows at ``query``, in chunks ``(rows, f)`` of mostly ``rows`` or more.
+
+    ``query`` is the grid quadrant ``x, y <= 0`` with ``quadrant``, built from
+    one grid period where that saves kernel values (``_quadrant_rows``), and
+    otherwise the grid points up to the centre, built densely.
+    """
+    chunks = _quadrant_rows(kern, pts, axis, rows) if quadrant else None
+    if chunks is not None:
+        return chunks
+    step = max(rows, _INTERP_ELEMS // len(pts))
+    return ((np.arange(r0, min(r0 + step, len(query))),
+             _interp_matrix(kern, query[r0:r0 + step], pts.positions))
+            for r0 in range(0, len(query), step))
 
 
-def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.ndarray | None:
+def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, rows: int):
     """Interpolation rows on the grid quadrant ``x, y <= 0``, one grid period built.
 
     Row ``i * (h+1) + j`` is at ``(axis[i], axis[j])``.  A row depends on
@@ -700,7 +768,10 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     axis (one ``_interp_matrix`` call each), line ``a`` over the part of
     the index set ``E``, the union of ``S - c m``, that its shifts
     ``c <= (h - a) // p`` gather from, and every other row is gathered from
-    them.  None without such a ``p`` below the quadrant's side, or when
+    them.  Returns an iterator of chunks ``(rows, f)``: the shifts of one
+    grid line, ``h + 1`` rows each, merged until a chunk has at least
+    ``rows`` rows, so one line's table and one chunk are held at a time.
+    None without such a ``p`` below the quadrant's side, or when
     ``p |E|`` is no fewer kernel values than ``(h+1) |S|``: a wall-time
     guard for small cells, where the dense build is the faster one.
     """
@@ -730,9 +801,16 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray) -> np.n
     dest = np.arange((h + 1) ** 2).reshape(h + 1, h + 1).transpose(dim, 1 - dim)
     lines = np.empty((p, h + 1, 2))
     lines[..., dim], lines[..., 1 - dim] = axis[:p, None], axis[:h + 1]
-    f = np.empty(((h + 1) ** 2, len(pts)))
-    for a in range(p):
-        table = _interp_matrix(kern, lines[a], ext_pos[:ends[a]])
-        for c in range((h - a) // p + 1):
-            f[dest[a + c * p]] = table[:, picks[c]]
-    return f
+
+    def chunks():
+        per = -(-rows // (h + 1))  # shifts per chunk, for at least ``rows`` rows
+        for a in range(p):
+            table = _interp_matrix(kern, lines[a], ext_pos[:ends[a]])
+            for c0 in range(0, (h - a) // p + 1, per):
+                shifts = np.arange(c0, min(c0 + per, (h - a) // p + 1))
+                # rows (o, c): grid point o across the period axis at shift c
+                yield (dest[a + shifts * p].T.ravel(),
+                       table[:, picks[shifts]].reshape(-1, len(pts)))
+            del table  # before the next line's is built
+
+    return chunks()

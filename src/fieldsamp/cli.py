@@ -87,6 +87,11 @@ def _check_args(args) -> None:
     t = getattr(args, "threshold_db", None)
     if t is not None and not (math.isfinite(t) and t < 0.0):
         raise ConfigError(f"--threshold-db must be a negative real, got {t!r}")
+    out = os.path.abspath(args.out)
+    while not os.path.exists(out):  # the nearest part of the path that exists
+        out = os.path.dirname(out)
+    if not os.path.isdir(out):
+        raise ConfigError(f"--out {args.out} cannot be made a directory: {out} is a file")
     given = [n for n in ("--a1", "--a2", "--phi-deg")
              if getattr(args, n[2:].replace("-", "_"), None) is not None]
     kind = getattr(args, "scheme", None) or getattr(args, "support", None)
@@ -323,11 +328,10 @@ def cmd_reconstruct(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     q_ny, kern_ny = nyquist_ellipse(kn, shape), kernel_ellipse(kn, shape)
     q_half, kern_half = nyquist_rect(kn), kernel_rect(kn)
     n_seg = int(round(args.segment / (1.0 / 16.0)))
-    # the larger (half-wavelength) interpolation matrix, 8 bytes an entry plus
-    # its complex copy in the product, and 96 bytes per sample from max RSS at
-    # sides of 200 and 300
+    # the larger (half-wavelength) interpolation matrix, 8 bytes an entry, and
+    # 176 bytes per sample; both fitted to max RSS at sides of 200 and 300
     n_ny, n_half = region.area / abs(q_ny.det), region.area / abs(q_half.det)
-    _check_memory(24.0 * (n_seg + 1) * n_half + 96.0 * (n_ny + n_half),
+    _check_memory(8.0 * (n_seg + 1) * n_half + 176.0 * (n_ny + n_half),
                   f"--L {args.L:g} with --segment {args.segment:g}",
                   "its samples and interpolation matrices")
     pts_ny = enumerate_lattice(q_ny, region)

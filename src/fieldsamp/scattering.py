@@ -263,6 +263,7 @@ def psd(s: ScatteringScenario, k) -> float:
 
 
 _FIT_GRID_N = 200
+_FIT_ROWS = 32  # grid rows per chunk of _threshold_mask
 
 
 def _threshold_mask(s: ScatteringScenario, threshold_db: float, on_psd: bool):
@@ -272,12 +273,19 @@ def _threshold_mask(s: ScatteringScenario, threshold_db: float, on_psd: bool):
     kap = s.kn.kappa
     step = kap / _FIT_GRID_N
     axis = np.arange(-_FIT_GRID_N, _FIT_GRID_N + 1) * step
-    kx, ky = np.meshgrid(axis, axis, indexing="ij")
-    rad2 = kx * kx + ky * ky
-    inside = rad2 < kap * kap if on_psd else rad2 <= kap * kap
-    pts = np.column_stack([kx[inside], ky[inside]])
-    kz = np.sqrt(kap * kap - rad2[inside])
-    vals = _factor_sq(s, np.column_stack([pts, kz]) / kap)
+    # the grid's rows in chunks, so that only the points inside the disk are
+    # held whole; every value is elementwise, so the chunking does not change it
+    pts, kz = [], []
+    for i0 in range(0, len(axis), _FIT_ROWS):
+        kx, ky = np.meshgrid(axis[i0:i0 + _FIT_ROWS], axis, indexing="ij")
+        rad2 = kx * kx + ky * ky
+        inside = rad2 < kap * kap if on_psd else rad2 <= kap * kap
+        pts.append(np.column_stack([kx[inside], ky[inside]]))
+        kz.append(np.sqrt(kap * kap - rad2[inside]))
+    pts, kz = np.concatenate(pts), np.concatenate(kz)
+    u = np.column_stack([pts, kz])
+    u /= kap
+    vals = _factor_sq(s, u)
     if on_psd:
         vals = vals / kz
     keep = vals >= vals.max() * 10.0 ** (threshold_db / 10.0)

@@ -56,19 +56,34 @@ def run_cli(args, cwd, env=None):
     return run_python(["-m", "fieldsamp", *args], cwd, env)
 
 
+def max_rss(args, cwd):
+    """Run the interpreter on ``args`` as ``run_python`` does; its exit code and max RSS in bytes.
+
+    The child's output is discarded.  Max RSS comes from ``os.wait4``.
+    """
+    cmd, env = _child(args)
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024
+
+
 def run_python(args, cwd, env=None):
     """Run the interpreter on ``args`` in a subprocess, importing as ``run_cli`` does.
 
     Warnings are errors in the child (``-W error``), as ``pyproject.toml``'s
     ``filterwarnings`` makes the numpy ones in process.
     """
+    cmd, env = _child(args, env)
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _child(args, env=None):
+    """The command line and environment of a child interpreter for ``run_python``."""
     env = {k: v for k, v in {**os.environ, **(env or {})}.items() if v is not None}
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(fieldsamp.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-W", "error", *[str(a) for a in args]],
-        cwd=cwd, env=env, capture_output=True, text=True,
-    )
+    return [sys.executable, "-W", "error", *[str(a) for a in args]], env
 
 
 def counting_kernel(kern):

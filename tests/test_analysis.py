@@ -1,6 +1,7 @@
 """Degrees of freedom, eigenvalue spectra, reconstruction, and MSE runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from fieldsamp.analysis import (
     _autocorr_peak_bytes,
     _grid_half,
     _interp_matrix,
-    _mirrored_reconstruction,
+    _mirror_rows,
     _quadrant_rows,
     _rows_within,
 )
@@ -795,8 +796,8 @@ class TestMseExperiment:
         rows = {"quadrant": (size // 2 + 1) ** 2, "half": (size * size + 1) // 2}
         if path == "separable":  # plus one row that checks the factorization
             assert sum(evaluated) == size * (np.ptp(pts.indices, axis=0) + 1).sum() + len(pts)
-        else:
-            assert sum(evaluated) == rows[path] * len(pts)
+        else:  # plus the centre row, built first to check the mirrors
+            assert sum(evaluated) == (rows[path] + 1) * len(pts)
         assert max(evaluated) <= analysis._INTERP_ELEMS
 
     def test_odd_kernel_rejected(self):
@@ -886,6 +887,16 @@ def _quadrant_query(side):
     return axis, np.column_stack([axis[ii], axis[jj]])
 
 
+def _assembled(chunks, n_rows):
+    """The matrix that row chunks ``(rows, f)`` make up; each row must come exactly once."""
+    rows, fs = zip(*chunks)
+    order = np.concatenate(rows)
+    assert np.array_equal(np.sort(order), np.arange(n_rows))
+    out = np.empty((n_rows, fs[0].shape[1]))
+    out[order] = np.vstack(fs)
+    return out
+
+
 # the hex lattice turned by 90 degrees (whose period runs along x), and the
 # fitted support of criterion 08 and the benchmark, which has both flips but
 # no lattice vector a multiple of lambda/8 along a grid axis
@@ -907,13 +918,15 @@ class TestQuadrantRows:
     def test_period_rows_match_dense(self, q, kern, side):
         pts = enumerate_lattice(q, Region(side=side * LAM))
         axis, query = _quadrant_query(side * LAM)
-        counted, sizes = counting_kernel(kern)
-        got = _quadrant_rows(counted, pts, axis)
         want = _interp_matrix(kern, query, pts.positions)
-        # rows were reused, and no kernel call exceeds the element budget
-        assert sum(sizes) < want.size
-        assert max(sizes) <= analysis._INTERP_ELEMS
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # one shift of a line per chunk, or several
+        for rows in (1, 100):
+            counted, sizes = counting_kernel(kern)
+            got = _assembled(_quadrant_rows(counted, pts, axis, rows), len(query))
+            # rows were reused, and no kernel call exceeds the element budget
+            assert sum(sizes) < want.size
+            assert max(sizes) <= analysis._INTERP_ELEMS
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("q, kern, side", [
         (nyquist_ellipse(KN, FITTED), kernel_ellipse(KN, FITTED), 20.0),
@@ -922,13 +935,9 @@ class TestQuadrantRows:
     def test_without_reuse_rows_are_dense(self, q, kern, side):
         pts = enumerate_lattice(q, Region(side=side * LAM))
         axis, query = _quadrant_query(side * LAM)
-        assert _quadrant_rows(kern, pts, axis) is None
-        # against unit samples, the identity's part of the reconstruction is
-        # the quadrant rows themselves, which the kernel then builds densely
-        recon = _mirrored_reconstruction(kern, pts, axis)
-        h = len(axis) // 2
-        ii, jj = np.divmod(np.arange((h + 1) ** 2), h + 1)
-        rows = recon(np.eye(len(pts)))[ii * len(axis) + jj]
+        assert _quadrant_rows(kern, pts, axis, 1) is None
+        # the quadrant rows that the reconstruction streams are then built densely
+        rows = _assembled(_mirror_rows(kern, pts, axis, query, True, 64), len(query))
         assert np.array_equal(rows, _interp_matrix(kern, query, pts.positions))
 
     def test_hex_kernel_work_is_one_period(self):
@@ -938,9 +947,38 @@ class TestQuadrantRows:
         kern, sizes = counting_kernel(kernel_disk(KN))
         pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
         axis, _ = _quadrant_query(20.0 * LAM)
-        _quadrant_rows(kern, pts, axis)
+        for _ in _quadrant_rows(kern, pts, axis, 1):
+            pass
         assert len(pts) == 1415 and len(axis) == 81
         assert sum(sizes) == 41 * (1760 + 7 * 1691) == 557477
+
+    def test_hex_rows_are_streamed(self):
+        # one hex L=20 cell holds a grid line of rows at a time, not the
+        # 41^2 x 1415 quadrant matrix (19 MB), and no kernel call exceeds the
+        # budget; one kernel call's own temporaries (about 4.6 MB at the
+        # budget) do not depend on the cell, so they are measured and set aside
+        q, pts = nyquist_hex(KN), enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
+        axis, query = _quadrant_query(20.0 * LAM)
+        kern, sizes = counting_kernel(kernel_disk(KN))
+        rng = np.random.default_rng(0)
+        n, n_grid = analysis._MSE_BLOCK, len(axis) ** 2
+        samples = rng.standard_normal((len(pts), n)) + 1j * rng.standard_normal((len(pts), n))
+        truth = rng.standard_normal((n_grid, n)) + 1j * rng.standard_normal((n_grid, n))
+        total = np.zeros(n_grid)
+        diff = query[:analysis._INTERP_ELEMS // len(pts), None] - pts.positions[None]
+        tracemalloc.start()
+        try:
+            kern(diff)
+            one_call = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            analysis._add_squared_errors(total, q, kern, pts, axis, samples, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        quadrant_bytes = 8 * len(query) * len(pts)
+        assert quadrant_bytes > 19e6
+        assert peak - one_call < quadrant_bytes / 4, (peak, one_call)
+        assert max(sizes) <= analysis._INTERP_ELEMS
 
     def test_hex_mse_matches_dense_half_rows(self, monkeypatch):
         s, region = broadside_cluster(40.0), Region(side=8.0 * LAM)

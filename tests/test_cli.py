@@ -19,7 +19,8 @@ from fieldsamp import (
     support_at_threshold,
 )
 from fieldsamp import cli
-from helpers import broadside_json, run_cli, run_python, two_cluster_json, write_scenario
+from helpers import (broadside_json, max_rss, run_cli, run_python, two_cluster_json,
+                     write_scenario)
 
 KN = Wavenumber.from_wavelength(1.0)
 
@@ -110,6 +111,24 @@ class TestUsage:
         assert doc["kind"] == "config"
         assert "physical memory" in doc["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["taken.txt", os.path.join("taken.txt", "sub")])
+    def test_out_naming_a_file_rejected_before_any_work(self, out, tmp_path, monkeypatch,
+                                                        capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+
+        monkeypatch.setattr(cli, "mse_sweep", never)
+        monkeypatch.setattr(cli, "_load_scenario", never)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("kept")
+        rc = cli.main(["mse-sweep", "--L-list", "2", "--realizations", "2", "--n-waves", "16",
+                       "--out", str(tmp_path / out)])
+        assert rc == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "config"
+        assert "--out" in doc["error"] and "is a file" in doc["error"]
+        assert taken.read_text() == "kept"
 
     @pytest.mark.parametrize("args, allocating", [
         (["lattice", "--scheme", "hex", "--L", "100000"], "enumerate_lattice"),
@@ -404,6 +423,27 @@ class TestMseSweep:
         schemes = [row.split(",")[1] for row in lines[1:]]
         assert schemes == ["ellipse_nyquist", "rect_matched", "hex",
                            "rect_half_lambda"]
+
+    def test_memory_estimate_bounds_max_rss(self, tmp_path, scen40, monkeypatch, capsys):
+        # the guard's estimate, added to what the interpreter and the imports
+        # hold, must cover the whole run: a change that grows the job's memory
+        # has to grow the estimate too
+        args = ["mse-sweep", "--scenario", scen40, "--L-list", "8,16", "--realizations", "128",
+                "--n-waves", "64"]
+        estimates = []
+
+        def record(need, what, held):
+            estimates.append(need)
+            raise cli.ConfigError("stop after the estimate")
+
+        monkeypatch.setattr(cli, "_check_memory", record)
+        assert cli.main(args + ["--out", str(tmp_path / "none")]) == 2
+        capsys.readouterr()
+        rc, base = max_rss(["-c", "import fieldsamp.cli"], tmp_path)
+        assert rc == 0
+        rc, rss = max_rss(["-m", "fieldsamp", *args, "--out", "out"], tmp_path)
+        assert rc == 0
+        assert rss <= base + estimates[0], (rss / 2**20, base / 2**20, estimates[0] / 2**20)
 
     def test_exact_reconstruction_written_as_minus_infinity(self, tmp_path):
         # below half a wavelength the grid is its centre point and a rect

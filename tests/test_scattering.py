@@ -16,6 +16,7 @@ from fieldsamp import (
     support_area_at_threshold,
     support_at_threshold,
 )
+from fieldsamp import scattering
 from fieldsamp._quad import hemisphere_rule
 from fieldsamp.lattice import _ALIAS_RTOL
 from fieldsamp.scattering import _hemisphere_exp_integral, _threshold_mask
@@ -224,6 +225,16 @@ class TestSupportFit:
         assert shape.a1 == pytest.approx(0.4877037402682134, rel=1e-12)
         assert shape.a2 == pytest.approx(0.30271266637337385, rel=1e-12)
         assert shape.phi == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("on_psd", [False, True])
+    def test_grid_chunks_do_not_change_the_kept_set(self, monkeypatch, on_psd):
+        # every value is elementwise, so the kept set is the one-pass set bit for bit
+        s = two_cluster_scenario()
+        got = [_threshold_mask(s, -20.0, on_psd)[0]]
+        for rows in (1, 2 * scattering._FIT_GRID_N + 1):
+            monkeypatch.setattr(scattering, "_FIT_ROWS", rows)
+            got.append(_threshold_mask(s, -20.0, on_psd)[0])
+        assert all(np.array_equal(g, got[-1]) for g in got)
 
     def test_monotone_in_threshold(self):
         s = broadside_cluster(40.0)
