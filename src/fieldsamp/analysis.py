@@ -391,8 +391,7 @@ class MseReport:
 
 
 _INTERP_ELEMS = 32768
-_MSE_BLOCK = 16
-_MSE_GROUP = 128  # a multiple of _MSE_BLOCK, so blocks never straddle groups
+_MSE_GROUP = 128
 
 
 def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
@@ -470,11 +469,11 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     interpolation rows are rebuilt per group, once when R <= 128, and
     streamed: each chunk of rows is applied to the whole group and dropped,
     so at most one chunk is held, of about ``2 min(R, 128)`` rows (shifts
-    of one quadrant grid line, or rows built densely).  Within a group,
-    realizations are reconstructed in fixed blocks of 16 and every grid
-    point's errors are added block by block in order; block boundaries
-    depend on R alone, and a cell's errors are summed in the same order
-    whichever other schemes and regions run with it.  ``workers`` is
+    of one quadrant grid line, or rows built densely).  Every grid point's
+    errors are added to its total one realization after another, in order
+    (``_add_squared_errors``), whichever group size, schemes and regions
+    run with it; the products' shapes follow the group size, though, and
+    BLAS may round different shapes differently.  ``workers`` is
     validated but changes neither the results nor the execution: the BLAS
     library already runs the matrix products on every core it uses.
 
@@ -488,9 +487,10 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
 
     - A rect support on a diagonal ``Q`` (``rect_matched``,
       ``rect_half_lambda``), whose points fill their index box, reconstructs
-      each block by two small products with the kernel's 1-D factors,
-      ``f(x, 0)`` and ``f(0, y) / f(0, 0)`` between the grid axis and the
-      sample axis; the only 2-D row built checks the factorization.
+      a few grid columns at a time by two small products with the kernel's
+      1-D factors, ``f(x, 0)`` and ``f(0, y) / f(0, 0)`` between the grid
+      axis and the sample axis; the only 2-D row built checks the
+      factorization.
     - Otherwise the grid and the samples are symmetric through the origin,
       and through each axis flip the lattice has (``lattice._mirror_group``).
       A mirror that also maps the kernel's support onto itself leaves the
@@ -610,27 +610,22 @@ def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
 
     ``axis`` holds the grid's coordinates along x and along y, ``samples``
     the group's fields at ``pts`` and ``truth`` on the whole grid, one column
-    per realization.  Realizations are reconstructed in blocks of
-    ``_MSE_BLOCK``, each block's real parts beside its imaginary parts, and
-    each grid point's errors are added block by block, in order.
+    per realization.  The build comes in pieces ``(grid points,
+    reconstructions)``, the group's real parts beside its imaginary parts;
+    each grid point's errors are added to its total one realization after
+    another, in order, however the pieces and groups fall.
     """
     if kern.support.kind == "rect" and q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0:
-        recon = _separable_reconstruction(kern, pts, axis)
-        for b0 in range(0, samples.shape[1], _MSE_BLOCK):
-            es = samples[:, b0:b0 + _MSE_BLOCK]
-            both = recon(np.hstack([es.real, es.imag])).reshape(len(truth), 1, 2, -1)
-            total += _squared_errors(truth[:, None, b0:b0 + es.shape[1]], both)[:, 0]
+        pieces = _separable_reconstruction(kern, pts, axis, samples)
     else:
-        _add_mirrored_errors(total, kern, pts, axis, samples, truth)
-
-
-def _squared_errors(truth: np.ndarray, both: np.ndarray) -> np.ndarray:
-    """Per grid row and block, the squared errors summed over the block's realizations.
-
-    ``truth`` is ``(rows, blocks, width)`` and ``both`` the reconstructions,
-    ``(rows, blocks, 2, width)``: real parts, then imaginary parts.
-    """
-    return ((truth.real - both[..., 0, :]) ** 2 + (truth.imag - both[..., 1, :]) ** 2).sum(axis=-1)
+        pieces = _mirrored_reconstruction(kern, pts, axis, samples)
+    n = samples.shape[1]
+    for dest, both in pieces:
+        t = truth[dest]
+        err = (t.real - both[:, :n]) ** 2 + (t.imag - both[:, n:]) ** 2
+        err[:, 0] += total[dest]
+        total[dest] = np.cumsum(err, axis=1, out=err)[:, -1]
+        del t, both, err  # before the next piece is built
 
 
 def _check_centre_row(row: np.ndarray, perm: np.ndarray, what: str) -> None:
@@ -639,19 +634,21 @@ def _check_centre_row(row: np.ndarray, perm: np.ndarray, what: str) -> None:
                          f"at mirrored sample positions")
 
 
-def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray):
-    """Grid reconstruction by a rect kernel's 1-D factors.
+def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray,
+                              samples: np.ndarray):
+    """Grid reconstruction by a rect kernel's 1-D factors, a few grid columns a piece.
 
     A diagonal ``Q`` over a centred square fills its index box, and rows run
     over ``n1`` within ``n2`` (``enumerate_lattice``), so the samples form
     an ``n2 x n1`` box.  The kernel must factor as
     ``f(x, y) = f(x, 0) f(0, y) / f(0, 0)``; the product of the factors is
     checked against the kernel at one grid point off both axes within 1e-12
-    relative, over all samples.
+    relative, over all samples, before the first piece.
     """
     box = np.ptp(pts.indices, axis=0) + 1
     pos = pts.positions.reshape(box[1], box[0], 2)
-    zeros, centre = np.zeros(len(axis)), len(axis) // 2
+    size = len(axis)
+    zeros, centre = np.zeros(size), size // 2
     # f(x, 0) and f(0, y): the grid axes against the samples on the axes
     fx = _interp_matrix(kern, np.column_stack([axis, zeros]), pos[box[1] // 2])
     fy = _interp_matrix(kern, np.column_stack([zeros, axis]), pos[:, box[0] // 2])
@@ -662,18 +659,20 @@ def _separable_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarr
     if np.abs(np.outer(fy[-1], fx[0]).ravel() - row).max() > 1e-12 * np.abs(row).max():
         raise ValueError("kernel must be separable on a rect support: f(x, 0) f(0, y) / f(0, 0) "
                          "differs from f(x, y) by more than 1e-12 relative")
+    n = samples.shape[1]
+    e = samples.reshape(box[1], box[0], n).transpose(1, 0, 2)  # (n1, n2, realization)
+    # (x, n2, column): the real parts' columns, then the imaginary parts'
+    u = (fx @ np.concatenate([e.real, e.imag], axis=2).reshape(box[0], -1)).reshape(
+        size, box[1], 2 * n)
+    per = -(-2 * n // size)  # grid columns a piece, for at least 2 n rows
+    for x0 in range(0, size, per):  # (x, y, column): rows in the grid's order
+        yield (np.arange(x0 * size, min(x0 + per, size) * size),
+               (fy @ u[x0:x0 + per]).reshape(-1, 2 * n))
 
-    def recon(stacked):
-        e = stacked.reshape(box[1], box[0], -1)
-        # (x, n2, column), then (x, y, column): rows in the grid's order
-        return (fy @ np.tensordot(fx, e, axes=(1, 1))).reshape(len(axis) ** 2, -1)
 
-    return recon
-
-
-def _add_mirrored_errors(total: np.ndarray, kern: Kernel, pts: LatticePointSet,
-                         axis: np.ndarray, samples: np.ndarray, truth: np.ndarray) -> None:
-    """``_add_squared_errors`` from the interpolation rows left by the mirrors.
+def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarray,
+                             samples: np.ndarray):
+    """Grid reconstruction from the interpolation rows left by the mirrors, a chunk a piece.
 
     A mirror ``F`` of the point set that also maps the kernel's support onto
     itself leaves the kernel unchanged, and the grid is mirror-symmetric
@@ -682,11 +681,11 @@ def _add_mirrored_errors(total: np.ndarray, kern: Kernel, pts: LatticePointSet,
     four elements (both axis flips) only the quadrant ``x, y <= 0`` is
     built (``_quadrant_rows``), otherwise (a rotated ellipse, a sheared
     ``Q``) the rows up to the grid centre.  The rows come in chunks, and
-    each chunk is multiplied against every block's samples and their
-    permutations and dropped, so no more than a chunk of rows is ever held;
-    the grid points that different rows reach are disjoint.  The centre row
-    is built first and checked against each mirror within 1e-12, so a kernel
-    the mirrors do not keep raises before any error is added.
+    each chunk is multiplied against the samples and their permutations and
+    dropped, so no more than a chunk of rows is ever held; the grid points
+    that different rows reach are disjoint.  The centre row is built first
+    and checked against each mirror within 1e-12, so a kernel the mirrors do
+    not keep raises before the first piece.
     """
     base = kern.support.to_base
 
@@ -708,36 +707,24 @@ def _add_mirrored_errors(total: np.ndarray, kern: Kernel, pts: LatticePointSet,
     # a grid point that several mirrors of a row reach takes the first one's
     # value: the identity's, on a row that a mirror maps onto itself
     firsts = np.array([(dests[:k] != dests[k]).all(axis=0) for k in range(len(group))])
-    # per mirror, each block's permuted samples, real parts then imaginary
-    # parts, side by side, so that each chunk takes one product; a block
-    # starting at realization b0 is at column 2 (k n + b0) of mirror k
+    # per mirror, the permuted samples' real parts, then their imaginary
+    # parts, side by side, so that each chunk takes one product; a mirror is
+    # its own inverse, so scattering the samples by it permutes them, with
+    # no copy of the samples on the way
     n = samples.shape[1]
     stack = np.empty((len(pts), 2 * len(group) * n))
+    parts = stack.reshape(len(pts), len(group), 2, n)
     for k, perm in enumerate(group):
-        for b0 in range(0, n, _MSE_BLOCK):
-            es = samples[perm, b0:b0 + _MSE_BLOCK]
-            c, cols = 2 * (k * n + b0), es.shape[1]
-            stack[:, c:c + cols], stack[:, c + cols:c + 2 * cols] = es.real, es.imag
-    # the whole blocks, then the last if it is partial: (first realization, blocks, width)
-    full = n - n % _MSE_BLOCK
-    spans = [(b0, (stop - b0) // cols, cols)
-             for b0, stop, cols in ((0, full, _MSE_BLOCK), (full, n, n - full)) if stop > b0]
+        parts[perm, k, 0], parts[perm, k, 1] = samples.real, samples.imag
     # chunks of at least 2 n rows, as many as the group has real and imaginary
     # columns: on fewer, repacking the stack for every product costs time
     query = np.column_stack([axis[ii], axis[jj]])
     for rows, f in _mirror_rows(kern, pts, axis, query, quadrant, 2 * n):
         first = firsts[:, rows]
-        dest = dests[:, rows][first]
-        # (mirror, row) pairs in the order of dest, each with its reconstructions
-        both = (f @ stack).reshape(len(rows), len(group), 2 * n).transpose(1, 0, 2)[first]
-        errs = [total[dest]]
-        for b0, blocks, cols in spans:
-            errs.append(_squared_errors(
-                truth[dest, b0:b0 + blocks * cols].reshape(-1, blocks, cols),
-                both[:, 2 * b0:2 * (b0 + blocks * cols)].reshape(-1, blocks, 2, cols)).T)
-        # block by block, in order, as the separable build adds them
-        total[dest] = np.cumsum(np.vstack(errs), axis=0)[-1]
-        del f, both  # before the next chunk is built
+        # (mirror, row) pairs, each with its reconstructions
+        yield (dests[:, rows][first],
+               (f @ stack).reshape(len(rows), len(group), 2 * n).transpose(1, 0, 2)[first])
+        del f  # before the next chunk is built
 
 
 def _mirror_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, query: np.ndarray,

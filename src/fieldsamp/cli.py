@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from ._io import write_csv, write_json
-from ._quad import ConvergenceError
 from .analysis import (
     _autocorr_peak_bytes,
     _mse_peak_bytes,
@@ -61,7 +60,8 @@ from .scattering import (
     support_area_at_threshold,
     support_at_threshold,
 )
-from .statfield import _NODE_CHUNK, ClarkeAcf, FieldRealization, NumericAcf, synthesize
+from .statfield import (_ACF_LEVELS, _NODE_CHUNK, ClarkeAcf, FieldRealization, NumericAcf,
+                        synthesize)
 
 
 class ConfigError(Exception):
@@ -257,8 +257,11 @@ def cmd_dof(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
 def cmd_acf(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     lam = scenario.kn.wavelength
     n = int(round(args.rmax / args.step))
-    _check_memory(16.0 * (n + 1) * _NODE_CHUNK, f"--rmax {args.rmax:g}",
-                  "the quadrature's exponential table")
+    # one node chunk's exponential table, 16 (n + 1) bytes a node, and the
+    # finest level's rule, 64 bytes a node; fitted to max RSS at --rmax 30 and 45
+    nt, nf = _ACF_LEVELS[-1]
+    _check_memory(16.0 * (n + 1) * _NODE_CHUNK + 64.0 * nt * nf, f"--rmax {args.rmax:g}",
+                  "the quadrature's exponential table and nodes")
     rs = np.arange(n + 1) * args.step * lam
     disp = np.column_stack([rs, np.zeros_like(rs)])
     # the displacements are the 1-D lattice step*lambda*I at indices (m, 0)
@@ -525,8 +528,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _fail("config", exc)
         return 2
-    except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         _fail("numeric", exc)
         return 1
     except MemoryError as exc:

@@ -110,54 +110,41 @@ def _p1evl(x: np.ndarray, coefs) -> np.ndarray:
 
 
 def bessel_j1(x):
-    """Bessel function of the first kind of order one.
+    """Bessel function of the first kind of order one, ``x * jinc(x)``.
 
-    Rational approximation on |x| <= 5 and asymptotic trigonometric
-    expansion beyond, following the classic Cephes construction; absolute
-    error stays below 1e-10 on |x| <= 50.  Accepts scalars or arrays.
+    Absolute error stays below 1e-10 on |x| <= 50, and the function is
+    exactly odd.  Accepts scalars or arrays.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    sign = np.sign(x)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-
-    small = ax <= 5.0
-    if np.any(small):
-        xs = ax[small]
-        z = xs * xs
-        w = _polevl(z, _RP) / _p1evl(z, _RQ)
-        out[small] = w * xs * (z - _Z1) * (z - _Z2)
-    if np.any(~small):
-        xl = ax[~small]
-        w = 5.0 / xl
-        z = w * w
-        p = _polevl(z, _PP) / _polevl(z, _PQ)
-        q = _polevl(z, _QP) / _p1evl(z, _QQ)
-        xn = xl - _THPIO4
-        p = p * np.cos(xn) - w * q * np.sin(xn)
-        out[~small] = p * _SQ2OPI / np.sqrt(xl)
-
-    out *= sign
-    return float(out[0]) if scalar else out
+    out = x * jinc(x)
+    return float(out) if x.ndim == 0 else out
 
 
 def jinc(x):
-    """``J1(x)/x`` with the removable singularity filled by its power series.
+    """``J1(x)/x``, following the classic Cephes construction of ``J1``.
 
-    ``jinc(0) = 1/2``; for |x| < 1e-4 the series ``1/2 - x^2/16 + x^4/384``
-    is used, elsewhere the ratio is evaluated directly.
+    On |x| <= 5 Cephes' rational approximation is ``x`` times a ratio of
+    polynomials in ``x^2``; that ratio alone is ``J1(x)/x``, with no
+    singularity, and ``jinc(0) = 1/2`` exactly.  Beyond, the asymptotic
+    trigonometric expansion of ``J1`` is divided by |x|.  Accepts scalars
+    or arrays.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    tiny = np.abs(x) < 1e-4
-    xt = x[tiny]
-    out[tiny] = 0.5 - xt * xt / 16.0 + xt ** 4 / 384.0
-    xb = x[~tiny]
-    out[~tiny] = bessel_j1(xb) / xb
+    ax = np.abs(np.atleast_1d(x))
+    out = np.empty_like(ax)
+
+    small = ax <= 5.0
+    z = ax[small] ** 2
+    # left to right, so that the product at 0 rounds to 1/2
+    out[small] = _polevl(z, _RP) / _p1evl(z, _RQ) * (z - _Z1) * (z - _Z2)
+    xl = ax[~small]
+    w = 5.0 / xl
+    z = w * w
+    p = _polevl(z, _PP) / _polevl(z, _PQ)
+    q = _polevl(z, _QP) / _p1evl(z, _QQ)
+    xn = xl - _THPIO4
+    out[~small] = (p * np.cos(xn) - w * q * np.sin(xn)) * _SQ2OPI / np.sqrt(xl) / xl
     return float(out[0]) if scalar else out
 
 

@@ -392,6 +392,7 @@ def _lattice_wave_sum(q: np.ndarray, indices: np.ndarray, k: np.ndarray,
         e2 = _exp_table(lo2, hi2, b[:, 1])
         e2 *= gains[c0:c0 + _NODE_CHUNK]
         box = box + e1 @ e2.T
+        del e1, e2  # before the next chunk's tables are built
     return box[n1 - lo1, n2 - lo2]
 
 

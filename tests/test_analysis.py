@@ -99,15 +99,13 @@ def _dense_half_squared_errors(total, q, kern, pts, axis, samples, truth):
     top = (n_grid + 1) // 2
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     f = _interp_matrix(kern, np.column_stack([gx.ravel(), gy.ravel()])[:top], pts.positions)
-    for b0 in range(0, samples.shape[1], analysis._MSE_BLOCK):
-        es = samples[:, b0:b0 + analysis._MSE_BLOCK]
-        width = es.shape[1]
-        stacked = np.hstack([es.real, es.imag])
-        both = f @ np.hstack([stacked, stacked[::-1]])
-        recon = np.vstack([both[:, :2 * width], both[:n_grid - top, 2 * width:][::-1]])
-        block = truth[:, b0:b0 + width]
-        total += ((block.real - recon[:, :width]) ** 2
-                  + (block.imag - recon[:, width:]) ** 2).sum(axis=1)
+    n = samples.shape[1]
+    stacked = np.hstack([samples.real, samples.imag])
+    both = f @ np.hstack([stacked, stacked[::-1]])
+    recon = np.vstack([both[:, :2 * n], both[:n_grid - top, 2 * n:][::-1]])
+    # realization by realization, in order
+    for j in range(n):
+        total += (truth[:, j].real - recon[:, j]) ** 2 + (truth[:, j].imag - recon[:, n + j]) ** 2
 
 
 class TestDof:
@@ -732,7 +730,7 @@ class TestMseExperiment:
         s, region = broadside_cluster(40.0), Region(side=3.0 * LAM)
         kwargs = dict(n_realizations=37, seed=13, n_waves=48)
         separate = [mse_experiment(s, q, kern, region, **kwargs) for q, kern in schemes]
-        # 32 gives two groups, the second a partial block
+        # 32 gives two groups, of 32 and 5 realizations
         for group in (analysis._MSE_GROUP, 32):
             monkeypatch.setattr(analysis, "_MSE_GROUP", group)
             shared = mse_sweep(s, schemes, [region], **kwargs)[0]
@@ -768,7 +766,7 @@ class TestMseExperiment:
     def test_structured_build_matches_dense_half_rows(self, monkeypatch, q, kern, path):
         s, region = broadside_cluster(40.0), Region(side=3.0 * LAM)
         kwargs = dict(n_realizations=37, seed=17, n_waves=48)
-        # 32 gives two groups, the second a partial block
+        # 32 gives two groups, of 32 and 5 realizations
         for group in (analysis._MSE_GROUP, 32):
             monkeypatch.setattr(analysis, "_MSE_GROUP", group)
             got = mse_experiment(s, q, kern, region, **kwargs).pointwise
@@ -961,7 +959,7 @@ class TestQuadrantRows:
         axis, query = _quadrant_query(20.0 * LAM)
         kern, sizes = counting_kernel(kernel_disk(KN))
         rng = np.random.default_rng(0)
-        n, n_grid = analysis._MSE_BLOCK, len(axis) ** 2
+        n, n_grid = 16, len(axis) ** 2
         samples = rng.standard_normal((len(pts), n)) + 1j * rng.standard_normal((len(pts), n))
         truth = rng.standard_normal((n_grid, n)) + 1j * rng.standard_normal((n_grid, n))
         total = np.zeros(n_grid)
@@ -1026,7 +1024,7 @@ class TestMseSweep:
         kwargs = dict(n_realizations=37, seed=13, n_waves=48)
         regions = [Region(side=v * LAM) for v in self.SIDES]
         separate = [mse_sweep(s, self.SCHEMES, [r], **kwargs)[0] for r in regions]
-        # 32 gives two groups, the second a partial block
+        # 32 gives two groups, of 32 and 5 realizations
         for group in (analysis._MSE_GROUP, 32):
             monkeypatch.setattr(analysis, "_MSE_GROUP", group)
             swept = mse_sweep(s, self.SCHEMES, regions, **kwargs)

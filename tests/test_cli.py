@@ -278,6 +278,27 @@ class TestAcf:
             assert re == pytest.approx(clarke, abs=1e-6)
             assert abs(im) < 1e-9
 
+    def test_memory_estimate_bounds_max_rss(self, tmp_path, monkeypatch, capsys):
+        # the isotropic scenario takes the quadrature, whose node chunks each
+        # fill one exponential table over the 241 displacements; the guard's
+        # estimate, added to what the interpreter and the imports hold, must
+        # cover the whole run
+        args = ["acf", "--rmax", "15"]
+        estimates = []
+
+        def record(need, what, held):
+            estimates.append(need)
+            raise cli.ConfigError("stop after the estimate")
+
+        monkeypatch.setattr(cli, "_check_memory", record)
+        assert cli.main(args + ["--out", str(tmp_path / "none")]) == 2
+        capsys.readouterr()
+        rc, base = max_rss(["-c", "import fieldsamp.cli"], tmp_path)
+        assert rc == 0
+        rc, rss = max_rss(["-m", "fieldsamp", *args, "--out", "out"], tmp_path)
+        assert rc == 0
+        assert rss <= base + estimates[0], (rss / 2**20, base / 2**20, estimates[0] / 2**20)
+
 
 class TestEigs:
     def test_summary_fields_and_determinism(self, tmp_path):
@@ -406,6 +427,17 @@ class TestSupportFit:
         assert doc["psd"]["a1"] == pytest.approx(0.47169905660283024, rel=1e-12)
         assert doc["factor"]["dof_formula"] == pytest.approx(
             100.0 * math.pi * doc["factor"]["a1"] * doc["factor"]["a2"], rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e300])
+    def test_extreme_wavelength_is_a_numeric_failure(self, tmp_path, lam):
+        # kappa^2 overflows at 1e-300 and the disk area is zero at 1e300: each
+        # is one JSON line, not a traceback, and nothing is written
+        scen = write_scenario(tmp_path / "s.json", broadside_json(40.0, lam=lam))
+        res = run_cli(["support-fit", "--scenario", scen, "--out", "out"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr)["kind"] == "numeric"
+        assert not (tmp_path / "out").exists()
 
 
 class TestMseSweep:
