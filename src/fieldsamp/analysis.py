@@ -22,6 +22,7 @@ from .lattice import (
     SamplingMatrix,
     _index_rows,
     _WINDOW_SLACK,
+    _ellipse_rows,
     _lattice_coords,
     _lattice_mirrors,
     _mirror_group,
@@ -29,7 +30,7 @@ from .lattice import (
     enumerate_lattice,
 )
 from .scattering import ScatteringScenario
-from .statfield import Acf, FieldRealization, _draw_waves, _lattice_wave_sum
+from .statfield import _NODE_CHUNK, Acf, FieldRealization, _draw_waves, _lattice_wave_sum
 
 __all__ = [
     "DofReport",
@@ -90,18 +91,11 @@ def count_wavenumber_modes(s: SpectralSupport, region: Region) -> int:
     Membership is tested in integer-scaled coordinates so boundary modes are
     decided exactly when the radius ``kappa*L/(2*pi)`` is itself exact.
     """
-    radius = s.kn.kappa * region.side / TWO_PI
-    # the support fits in the square of half-side radius * |inv(to_base)|_2
-    bound = int(math.ceil(radius * np.linalg.norm(np.linalg.inv(s.to_base), 2))) + 1
-    axis = np.arange(-bound, bound + 1)
-    lx, ly = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([lx.ravel(), ly.ravel()]) @ s.to_base.T
-    limit = radius * (1.0 + 1e-12)
-    if s.kind == "rect":
-        inside = np.all(np.abs(pts) <= limit, axis=1)
-    else:
-        inside = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= limit * limit
-    return int(np.count_nonzero(inside))
+    limit = s.kn.kappa * region.side / TWO_PI * (1.0 + 1e-12)
+    if s.kind == "rect":  # to_base is the identity: the modes fill the square |l|_inf <= limit
+        return (2 * math.floor(limit) + 1) ** 2
+    pts = _ellipse_rows(s.to_base, limit) @ s.to_base.T
+    return int(np.count_nonzero(pts[:, 0] ** 2 + pts[:, 1] ** 2 <= limit * limit))
 
 
 @dataclass(frozen=True)
@@ -413,7 +407,7 @@ def _grid_half(s: ScatteringScenario, region: Region) -> int:
 
 
 def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
-                    region: Region, n_realizations: int) -> float:
+                    region: Region, n_realizations: int, n_waves: int) -> float:
     """Worst-case peak bytes of ``mse_sweep`` whose largest region is ``region``.
 
     With ``G`` grid points, at most ``N ~ area / |det Q|`` samples per scheme
@@ -425,14 +419,19 @@ def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     each.  ``r = 2 n + 3 (h + 1)`` for the grid's half-width ``h``: a chunk
     has fewer than ``2 n + h + 1`` rows, and a period line's table holds
     ``h + 1`` rows over fewer than ``2 N`` samples.  Last, one kernel call's
-    temporaries, about 20 arrays of ``_INTERP_ELEMS`` values.
+    temporaries, about 20 arrays of ``_INTERP_ELEMS`` values.  The waves: the
+    group's ``M`` waves per realization, 34 bytes each (a wavevector and a
+    gain, 32), plus one draw's temporaries, ``(34 n + 96) M``; and a
+    synthesis chunk's two exponential tables of ``min(M, _NODE_CHUNK)``
+    columns over the grid's ``2 h + 1`` indices.
     """
     h = _grid_half(s, region)
     n_points = max(region.area / abs(q.det) for q, _ in schemes)
     group = min(n_realizations, _MSE_GROUP)
     rows = 2 * group + 3 * (h + 1)
     return (16.0 * (2 * h + 1) ** 2 * group + 80.0 * n_points * group
-            + 8.0 * rows * (n_points + 32 * group) + 160.0 * _INTERP_ELEMS)
+            + 8.0 * rows * (n_points + 32 * group) + 160.0 * _INTERP_ELEMS
+            + (34.0 * group + 96.0) * n_waves + 32.0 * (2 * h + 1) * min(n_waves, _NODE_CHUNK))
 
 
 def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],

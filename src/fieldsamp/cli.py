@@ -45,6 +45,7 @@ from .kernels import kernel_disk, kernel_ellipse, kernel_rect
 from .lattice import (
     _ALIAS_RTOL,
     MIRRORS,
+    _ellipse_top,
     density,
     efficiency_gain,
     enumerate_lattice,
@@ -60,8 +61,8 @@ from .scattering import (
     support_area_at_threshold,
     support_at_threshold,
 )
-from .statfield import (_ACF_LEVELS, _NODE_CHUNK, ClarkeAcf, FieldRealization, NumericAcf,
-                        synthesize)
+from .statfield import (_ACF_LEVELS, _NODE_CHUNK, _ROW_CHUNK, ClarkeAcf, FieldRealization,
+                        NumericAcf, synthesize)
 
 
 class ConfigError(Exception):
@@ -190,12 +191,15 @@ def cmd_lattice(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
-    # 64 bytes per candidate of enumerate_lattice's integer box, which a thin
-    # tilted ellipse makes far larger than the lattice, and per point for its
-    # CSV text; from max RSS at two sides each of rect, hex and such an ellipse
-    box = np.prod(region.side * np.abs(np.linalg.inv(q.q)).sum(axis=1) + 3.0)
-    _check_memory(64.0 * (box + region.area / abs(q.det)), f"--L {args.L:g}",
-                  "its candidate box and CSV rows")
+    # per point, 224 bytes for its CSV text and its share of the candidates,
+    # which the circumscribed ellipse holds to about pi/2 of the points: the
+    # largest slope of max RSS between two sides of rect, hex and a thin tilted
+    # ellipse (216); and per candidate row, 256 bytes for its arrays and the up
+    # to 5 candidates past its chord, which a thin enough ellipse makes the most
+    # of (250, at L = 5e5 and 1e6 with a2 = 1e-9)
+    rows = 2 * _ellipse_top(q.q, math.sqrt(0.5) * region.side) + 1
+    _check_memory(224.0 * region.area / abs(q.det) + 256.0 * rows, f"--L {args.L:g}",
+                  "its candidates and CSV rows")
     pts = enumerate_lattice(q, region)
     p = periodicity_from_sampling(q)
     lam = kn.wavelength
@@ -229,11 +233,14 @@ def cmd_dof(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     region = Region(side=args.L * kn.wavelength)
     shape = _ellipse_shape(args, scenario) if args.support == "ellipse" else None
     support = SpectralSupport(args.support, kn, shape)
-    # the mode box spans the support's major axis; 64 bytes per entry from max
-    # RSS at sides of 800 and 1600
-    _check_memory(64.0 * (2.0 * args.L * (shape.a1 if shape else 1.0) + 5.0) ** 2,
-                  f"--L {args.L:g}", "its wavenumber mode box")
     report = dof(support, region)
+    # per mode of the area formula, 64 bytes for its candidates (max RSS grew
+    # 56-57 a mode between two sides of the disk and of a thin tilted
+    # ellipse); and per row of the mode ellipse, whose radius kappa L / (2 pi)
+    # is --L, 256 bytes as for the lattice (240 measured)
+    rows = 2 * _ellipse_top(support.to_base, args.L) + 1
+    _check_memory(64.0 * report.dof_real + 256.0 * rows, f"--L {args.L:g}",
+                  "its wavenumber mode candidates")
     out = {
         "support": args.support,
         "lambda": kn.wavelength,
@@ -290,7 +297,10 @@ def cmd_eigs(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     use_clarke = args.acf == "clarke" or (
         args.acf == "auto" and all(c.alpha == 0.0 for c in scenario.clusters))
     kept = set(MIRRORS) if use_clarke else _kept_mirrors(scenario)
-    _check_memory(_autocorr_peak_bytes(region.area / abs(q.det), q, kept),
+    # and 2 KiB a point for the difference table and its temporaries: max RSS
+    # over the block term grew 1.8 KiB a point between hex L = 30 and 40
+    n_points = region.area / abs(q.det)
+    _check_memory(_autocorr_peak_bytes(n_points, q, kept) + 2048.0 * n_points,
                   f"--L {args.L:g}", "an autocorrelation block")
     pts = enumerate_lattice(q, region)
     acf = ClarkeAcf(kn) if use_clarke else NumericAcf(scenario)
@@ -332,9 +342,12 @@ def cmd_reconstruct(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     q_half, kern_half = nyquist_rect(kn), kernel_rect(kn)
     n_seg = int(round(args.segment / (1.0 / 16.0)))
     # the larger (half-wavelength) interpolation matrix, 8 bytes an entry, and
-    # 176 bytes per sample; both fitted to max RSS at sides of 200 and 300
+    # 176 bytes per sample; both fitted to max RSS at sides of 200 and 300.
+    # synthesize's waves, 96 bytes each (max RSS at 1e6 and 2e6 waves), and
+    # its two phase blocks of _ROW_CHUNK x _NODE_CHUNK values
     n_ny, n_half = region.area / abs(q_ny.det), region.area / abs(q_half.det)
-    _check_memory(8.0 * (n_seg + 1) * n_half + 176.0 * (n_ny + n_half),
+    _check_memory(8.0 * (n_seg + 1) * n_half + 176.0 * (n_ny + n_half)
+                  + 96.0 * args.n_waves + 16.0 * _ROW_CHUNK * _NODE_CHUNK,
                   f"--L {args.L:g} with --segment {args.segment:g}",
                   "its samples and interpolation matrices")
     pts_ny = enumerate_lattice(q_ny, region)
@@ -395,7 +408,7 @@ def cmd_mse_sweep(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     ]
     pairs = [(q, kern) for _, q, kern in schemes]
     largest = Region(side=max(sides) * lam)
-    _check_memory(_mse_peak_bytes(scenario, pairs, largest, args.realizations),
+    _check_memory(_mse_peak_bytes(scenario, pairs, largest, args.realizations, args.n_waves),
                   f"--L-list side {max(sides):g}", "its grid, samples and interpolation rows")
     per_side = mse_sweep(scenario, pairs, [Region(side=side * lam) for side in sides],
                          n_realizations=args.realizations, seed=args.seed,
@@ -432,8 +445,15 @@ def cmd_support_fit(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, as every other is."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fieldsamp",
         description="Sampling lattices, degrees of freedom, and reconstruction "
                     "error for spatially bandlimited wave fields.",
@@ -520,11 +540,13 @@ def _fail(kind: str, exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
-        scenario = _load_scenario(args)
-        outputs, resolved = args.func(args, scenario)
+        # an overflow or a NaN made on the way is a numeric failure, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scenario = _load_scenario(args)
+            outputs, resolved = args.func(args, scenario)
     except ConfigError as exc:
         _fail("config", exc)
         return 2

@@ -194,27 +194,48 @@ def efficiency_gain(density_new: float, density_ref: float) -> float:
     return 1.0 - density_new / density_ref
 
 
+def _ellipse_top(a: np.ndarray, rho: float) -> int:
+    """The largest ``|n2|`` among the rows of ``_ellipse_rows(a, rho)``, one past the ellipse's."""
+    return math.floor(rho * math.hypot(a[0, 0], a[1, 0]) / abs(np.linalg.det(a))) + 1
+
+
+def _ellipse_rows(a: np.ndarray, rho: float) -> np.ndarray:
+    """The integer vectors ``n`` with ``|a n|_2 <= rho``, and a few just outside, by (n2, n1).
+
+    Row ``n2`` is the interval of ``n1`` where ``n.T (a.T a) n <= rho^2``, in closed form.
+    Its ends, and the rows, reach one past the ellipse, so round-off decides no
+    membership here and each caller keeps its own test: at most 5 vectors a row
+    beyond its chord, the chords holding about ``pi rho^2 / |det a|``.
+    """
+    g = a.T @ a
+    top = _ellipse_top(a, rho)
+    n2 = np.arange(-top, top + 1)
+    det = np.linalg.det(a)
+    width = np.sqrt(np.maximum(g[0, 0] * rho * rho - (det * n2) ** 2, 0.0)) / g[0, 0]
+    centre = -g[0, 1] / g[0, 0] * n2
+    lo = np.floor(centre - width).astype(np.int64) - 1
+    count = np.ceil(centre + width).astype(np.int64) + 2 - lo
+    n1 = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    return np.column_stack([n1, np.repeat(n2, count)])
+
+
 def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
     """All lattice points Q @ n inside a centered square region.
 
-    The candidate integer box is found by mapping the region corners through
-    inv(Q); points with a coordinate exactly on the region boundary are
-    included.  Rows are ordered by (n2, n1).  The box and the window are
-    symmetric through the origin, so rows ``i`` and ``N-1-i`` are exact
+    The candidates are the rows of the ellipse ``|Q n|_2 <= sqrt(2) L/2``
+    that circumscribes the region's preimage (``_ellipse_rows``), at most
+    about ``pi/2`` of the points; points with a coordinate exactly on the
+    region boundary are included.  Rows are ordered by (n2, n1).  The window
+    is symmetric through the origin, so rows ``i`` and ``N-1-i`` are exact
     mirrors: their indices and positions are negatives of each other.
     """
-    half = 0.5 * region.side
-    corners = np.array([[half, half], [half, -half], [-half, half], [-half, -half]])
-    n_corners = corners @ np.linalg.inv(q.q).T
-    lo = np.floor(n_corners.min(axis=0)).astype(int) - 1
-    hi = np.ceil(n_corners.max(axis=0)).astype(int) + 1
-    n1, n2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij")
-    n = np.column_stack([n1.ravel(), n2.ravel()])
+    half = 0.5 * region.side * (1.0 + _BOUNDARY_RTOL)
+    n = _ellipse_rows(q.q, math.sqrt(2.0) * half)
     pos = n @ q.q.T
-    keep = np.all(np.abs(pos) <= half * (1.0 + _BOUNDARY_RTOL), axis=1)
-    n, pos = n[keep], pos[keep]
-    order = np.lexsort((n[:, 0], n[:, 1]))
-    return LatticePointSet(indices=n[order], positions=pos[order], q=q, region=region)
+    keep = np.all(np.abs(pos) <= half, axis=1)
+    n = n[keep]  # each candidate array dropped as soon as its points are taken
+    pos = pos[keep]
+    return LatticePointSet(indices=n, positions=pos, q=q, region=region)
 
 
 MIRRORS = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, EllipseShape, Wavenumber, _as_xy, _fold
-from .lattice import MIRRORS
+from .lattice import MIRRORS, _ellipse_rows
 
 __all__ = [
     "VmfCluster",
@@ -263,7 +263,6 @@ def psd(s: ScatteringScenario, k) -> float:
 
 
 _FIT_GRID_N = 200
-_FIT_ROWS = 32  # grid rows per chunk of _threshold_mask
 
 
 def _threshold_mask(s: ScatteringScenario, threshold_db: float, on_psd: bool):
@@ -272,17 +271,12 @@ def _threshold_mask(s: ScatteringScenario, threshold_db: float, on_psd: bool):
         raise ValueError(f"threshold_db must be negative, got {threshold_db!r}")
     kap = s.kn.kappa
     step = kap / _FIT_GRID_N
-    axis = np.arange(-_FIT_GRID_N, _FIT_GRID_N + 1) * step
-    # the grid's rows in chunks, so that only the points inside the disk are
-    # held whole; every value is elementwise, so the chunking does not change it
-    pts, kz = [], []
-    for i0 in range(0, len(axis), _FIT_ROWS):
-        kx, ky = np.meshgrid(axis[i0:i0 + _FIT_ROWS], axis, indexing="ij")
-        rad2 = kx * kx + ky * ky
-        inside = rad2 < kap * kap if on_psd else rad2 <= kap * kap
-        pts.append(np.column_stack([kx[inside], ky[inside]]))
-        kz.append(np.sqrt(kap * kap - rad2[inside]))
-    pts, kz = np.concatenate(pts), np.concatenate(kz)
+    # the grid points over the disk, kx over the rows as in the grid's own order
+    grid = _ellipse_rows(np.eye(2), _FIT_GRID_N)[:, ::-1] * step
+    rad2 = grid[:, 0] * grid[:, 0] + grid[:, 1] * grid[:, 1]
+    inside = rad2 < kap * kap if on_psd else rad2 <= kap * kap
+    pts, kz = grid[inside], np.sqrt(kap * kap - rad2[inside])
+    del grid, rad2, inside  # before _factor_sq's temporaries
     u = np.column_stack([pts, kz])
     u /= kap
     vals = _factor_sq(s, u)

@@ -18,7 +18,7 @@ from fieldsamp import (
     nyquist_hex,
     support_at_threshold,
 )
-from fieldsamp import cli
+from fieldsamp import analysis, cli
 from helpers import (broadside_json, max_rss, run_cli, run_python, two_cluster_json,
                      write_scenario)
 
@@ -45,17 +45,32 @@ class TestUsage:
         assert run_cli(["--help"], tmp_path).returncode == 0
 
     def test_missing_subcommand(self, tmp_path):
-        assert run_cli([], tmp_path).returncode == 2
+        res = run_cli([], tmp_path)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["kind"] == "config"
 
     def test_unknown_scheme(self, tmp_path):
         res = run_cli(["lattice", "--scheme", "oct", "--L", "4"], tmp_path)
         assert res.returncode == 2
+        assert json.loads(res.stderr)["kind"] == "config"
+
+    @pytest.mark.parametrize("args", [
+        ["lattice", "--scheme", "hex", "--L", "abc"],
+        ["lattice", "--L", "4"],
+        ["lattice", "--scheme", "hex", "--L", "4", "--bogus", "1"],
+        # argparse reads a negative exponent as an option
+        ["support-fit", "--threshold-db", "-1e-3"],
+    ], ids=["non-number", "missing-scheme", "unknown-flag", "negative-exponent"])
+    def test_usage_errors_are_config_errors(self, args, tmp_path):
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["kind"] == "config"
 
     def test_config_errors_report_json_on_stderr(self, tmp_path):
         res = run_cli(["lattice", "--scheme", "hex", "--L", "4",
                        "--scenario", "missing.json"], tmp_path)
         assert res.returncode == 2
-        doc = json.loads(res.stderr)
+        doc = json.loads(res.stderr)  # exactly one JSON document
         assert doc["kind"] == "config"
         assert "missing.json" in doc["error"]
 
@@ -112,6 +127,22 @@ class TestUsage:
         assert "physical memory" in doc["error"]
         assert not out.exists()
 
+    def test_oversized_wave_count_rejected_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # a group holds all its realizations' waves, so the wave count alone can
+        # exceed physical memory at a small side
+        def never(*args, **kwargs):
+            raise AssertionError("called before the memory check")
+
+        monkeypatch.setattr(analysis, "_draw_waves", never)
+        out = tmp_path / "out"
+        rc = cli.main(["mse-sweep", "--a1", "1", "--a2", "1", "--L-list", "2",
+                       "--n-waves", "10000000000", "--out", str(out)])
+        assert rc == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "config"
+        assert "physical memory" in doc["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["taken.txt", os.path.join("taken.txt", "sub")])
     def test_out_naming_a_file_rejected_before_any_work(self, out, tmp_path, monkeypatch,
                                                         capsys):
@@ -133,14 +164,17 @@ class TestUsage:
     @pytest.mark.parametrize("args, allocating", [
         (["lattice", "--scheme", "hex", "--L", "100000"], "enumerate_lattice"),
         (["lattice", "--scheme", "ellipse", "--a1", "0.9", "--a2", "0.01", "--phi-deg", "45",
-          "--L", "20000"], "enumerate_lattice"),
+          "--L", "200000"], "enumerate_lattice"),
+        # 3 points but 2.2e8 candidate rows
+        (["lattice", "--scheme", "ellipse", "--a1", "0.9", "--a2", "1e-10", "--phi-deg", "45",
+          "--L", "1e8"], "enumerate_lattice"),
         (["dof", "--L", "1e6"], "count_wavenumber_modes"),
         (["dof", "--support", "ellipse", "--a1", "0.5", "--a2", "0.5", "--L", "1e6"],
          "count_wavenumber_modes"),
         (["reconstruct", "--a1", "1", "--a2", "1", "--L", "1e5"], "enumerate_lattice"),
         (["reconstruct", "--a1", "1", "--a2", "1", "--L", "400", "--segment", "1e4"],
          "enumerate_lattice"),
-    ], ids=["lattice-hex", "lattice-thin-ellipse", "dof-disk", "dof-ellipse",
+    ], ids=["lattice-hex", "lattice-thin-ellipse", "lattice-rows", "dof-disk", "dof-ellipse",
             "reconstruct-side", "reconstruct-segment"])
     def test_oversized_grids_rejected_before_any_allocation(self, args, allocating, tmp_path,
                                                              monkeypatch, capsys):
@@ -278,27 +312,6 @@ class TestAcf:
             assert re == pytest.approx(clarke, abs=1e-6)
             assert abs(im) < 1e-9
 
-    def test_memory_estimate_bounds_max_rss(self, tmp_path, monkeypatch, capsys):
-        # the isotropic scenario takes the quadrature, whose node chunks each
-        # fill one exponential table over the 241 displacements; the guard's
-        # estimate, added to what the interpreter and the imports hold, must
-        # cover the whole run
-        args = ["acf", "--rmax", "15"]
-        estimates = []
-
-        def record(need, what, held):
-            estimates.append(need)
-            raise cli.ConfigError("stop after the estimate")
-
-        monkeypatch.setattr(cli, "_check_memory", record)
-        assert cli.main(args + ["--out", str(tmp_path / "none")]) == 2
-        capsys.readouterr()
-        rc, base = max_rss(["-c", "import fieldsamp.cli"], tmp_path)
-        assert rc == 0
-        rc, rss = max_rss(["-m", "fieldsamp", *args, "--out", "out"], tmp_path)
-        assert rc == 0
-        assert rss <= base + estimates[0], (rss / 2**20, base / 2**20, estimates[0] / 2**20)
-
 
 class TestEigs:
     def test_summary_fields_and_determinism(self, tmp_path):
@@ -355,7 +368,7 @@ class TestEigs:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         n = side ** 2 / abs(nyquist_hex(KN).det)  # wavelength 1
-        assert needs == [pytest.approx(16.0 * (n / g) ** 2)]
+        assert needs == [pytest.approx(16.0 * (n / g) ** 2 + 2048.0 * n)]
 
     def test_memory_error_reports_resource_json(self, tmp_path, monkeypatch, capsys):
         def exhausted(points, acf):
@@ -456,27 +469,6 @@ class TestMseSweep:
         assert schemes == ["ellipse_nyquist", "rect_matched", "hex",
                            "rect_half_lambda"]
 
-    def test_memory_estimate_bounds_max_rss(self, tmp_path, scen40, monkeypatch, capsys):
-        # the guard's estimate, added to what the interpreter and the imports
-        # hold, must cover the whole run: a change that grows the job's memory
-        # has to grow the estimate too
-        args = ["mse-sweep", "--scenario", scen40, "--L-list", "8,16", "--realizations", "128",
-                "--n-waves", "64"]
-        estimates = []
-
-        def record(need, what, held):
-            estimates.append(need)
-            raise cli.ConfigError("stop after the estimate")
-
-        monkeypatch.setattr(cli, "_check_memory", record)
-        assert cli.main(args + ["--out", str(tmp_path / "none")]) == 2
-        capsys.readouterr()
-        rc, base = max_rss(["-c", "import fieldsamp.cli"], tmp_path)
-        assert rc == 0
-        rc, rss = max_rss(["-m", "fieldsamp", *args, "--out", "out"], tmp_path)
-        assert rc == 0
-        assert rss <= base + estimates[0], (rss / 2**20, base / 2**20, estimates[0] / 2**20)
-
     def test_exact_reconstruction_written_as_minus_infinity(self, tmp_path):
         # below half a wavelength the grid is its centre point and a rect
         # lattice holds only the origin, so the reconstruction there is exact
@@ -491,6 +483,63 @@ class TestMseSweep:
             "-inf", "-inf"]
         assert all(math.isfinite(float(r[2])) for r in rows if not r[1].startswith("rect"))
         assert lines[:5] == (tmp_path / "b" / "mse_sweep.csv").read_text().splitlines()
+
+
+class TestGuards:
+    @pytest.mark.parametrize("args", [
+        ["lattice", "--scheme", "hex", "--L", "200"],
+        ["lattice", "--scheme", "ellipse", "--a1", "0.9", "--a2", "0.01", "--phi-deg", "45",
+         "--L", "3000"],
+        ["dof", "--L", "800"],
+        # the isotropic scenario takes the quadrature, whose node chunks each
+        # fill one exponential table over the 241 displacements
+        ["acf", "--rmax", "15"],
+        ["eigs", "--scheme", "hex", "--L", "40", "--acf", "clarke"],
+        ["reconstruct", "--a1", "1", "--a2", "1", "--L", "100", "--n-waves", "256"],
+        ["mse-sweep", "--scenario", "broadside40.json", "--L-list", "8,16",
+         "--realizations", "128", "--n-waves", "64"],
+    ], ids=["lattice-hex", "lattice-thin-ellipse", "dof", "acf", "eigs", "reconstruct",
+            "mse-sweep"])
+    def test_memory_estimate_bounds_max_rss(self, args, tmp_path, scen40, monkeypatch, capsys):
+        # the guard's estimate, added to what the interpreter and the imports
+        # hold, must cover the whole run: a change that grows the job's memory
+        # has to grow the estimate too
+        estimates = []
+
+        def record(need, what, held):
+            estimates.append(need)
+            raise cli.ConfigError("stop after the estimate")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_check_memory", record)
+        assert cli.main(args + ["--out", "none"]) == 2
+        capsys.readouterr()
+        rc, base = max_rss(["-c", "import fieldsamp.cli"], tmp_path)
+        assert rc == 0
+        rc, rss = max_rss(["-m", "fieldsamp", *args, "--out", "out"], tmp_path)
+        assert rc == 0
+        assert rss <= base + estimates[0], (rss / 2**20, base / 2**20, estimates[0] / 2**20)
+
+
+class TestNumericFailures:
+    @pytest.mark.parametrize("args", [
+        ["lattice", "--scheme", "hex", "--L", "4", "--scenario", "far.json"],
+        ["eigs", "--scheme", "hex", "--L", "4", "--scenario", "far.json"],
+        ["acf", "--scenario", "far.json"],
+        ["lattice", "--scheme", "hex", "--L", "4", "--lambda", "1e200"],
+        ["eigs", "--scheme", "hex", "--L", "4", "--lambda", "1e200"],
+        ["lattice", "--scheme", "ellipse", "--L", "4", "--a1", "1e-300", "--a2", "1e-300"],
+    ], ids=["lattice-far", "eigs-far", "acf-far", "lattice-lambda", "eigs-lambda",
+            "tiny-axes"])
+    def test_overflow_is_one_numeric_line(self, args, tmp_path):
+        # far.json is a scenario at wavelength 1e300; under -W error a numpy
+        # overflow warning would be a traceback
+        write_scenario(tmp_path / "far.json", broadside_json(40.0, lam=1e300))
+        res = run_cli(args + ["--out", "out"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr)["kind"] == "numeric"
+        assert not (tmp_path / "out").exists()
 
 
 # the names fieldsamp exports, by home module, besides the six public submodules

@@ -1,6 +1,7 @@
 """Sampling matrices, lattice enumeration, densities, and alias-freedom."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ class TestEnumerate:
         assert len(pts) % 2 == 1
         assert np.array_equal(pts.indices[::-1], -pts.indices)
         assert np.array_equal(pts.positions[::-1], -pts.positions)
+
+    def test_thin_ellipse_peak_stays_near_the_points(self):
+        # a thin tilted ellipse's integer box holds 156 candidates per point;
+        # its rows hold at most about pi/2 per point, plus a few per row
+        q = nyquist_ellipse(KN, EllipseShape(0.9, 0.01, math.radians(45)))
+        tracemalloc.start()
+        try:
+            pts = enumerate_lattice(q, Region(side=1000.0 * LAM))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (pts.indices.nbytes + pts.positions.nbytes)
 
     def test_deterministic_ordering(self):
         q = nyquist_hex(KN)

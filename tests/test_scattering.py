@@ -227,14 +227,24 @@ class TestSupportFit:
         assert shape.phi == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("on_psd", [False, True])
-    def test_grid_chunks_do_not_change_the_kept_set(self, monkeypatch, on_psd):
-        # every value is elementwise, so the kept set is the one-pass set bit for bit
+    def test_kept_set_is_the_whole_grid_mask(self, on_psd):
+        # the grid over the disk comes row by row; the kept set is the one a
+        # mask over the whole grid keeps, in the grid's order, bit for bit
         s = two_cluster_scenario()
-        got = [_threshold_mask(s, -20.0, on_psd)[0]]
-        for rows in (1, 2 * scattering._FIT_GRID_N + 1):
-            monkeypatch.setattr(scattering, "_FIT_ROWS", rows)
-            got.append(_threshold_mask(s, -20.0, on_psd)[0])
-        assert all(np.array_equal(g, got[-1]) for g in got)
+        kap = s.kn.kappa
+        step = kap / scattering._FIT_GRID_N
+        axis = np.arange(-scattering._FIT_GRID_N, scattering._FIT_GRID_N + 1) * step
+        kx, ky = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        rad2 = kx * kx + ky * ky
+        inside = rad2 < kap * kap if on_psd else rad2 <= kap * kap
+        kz_in = np.sqrt(kap * kap - rad2[inside])
+        vals = scattering._factor_sq(s, np.column_stack([kx[inside], ky[inside], kz_in]) / kap)
+        if on_psd:
+            vals = vals / kz_in
+        keep = vals >= vals.max() * 10.0 ** (-20.0 / 10.0)
+        pts, got_step = _threshold_mask(s, -20.0, on_psd)
+        assert got_step == step
+        assert np.array_equal(pts, np.column_stack([kx[inside], ky[inside]])[keep])
 
     def test_monotone_in_threshold(self):
         s = broadside_cluster(40.0)
