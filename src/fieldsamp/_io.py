@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -18,8 +19,8 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to ``path`` via a temporary file and rename.
+def _atomic_write(path, chunks) -> None:
+    """Write the strings ``chunks`` yields to ``path`` via a temporary file and rename.
 
     The target either keeps its old content or receives the complete new
     content; a failure mid-write never leaves a partial file behind.
@@ -29,7 +30,7 @@ def atomic_write_text(path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -40,12 +41,11 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a CSV file atomically with a header row."""
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a CSV file atomically with a header row, each row as it is formatted."""
+    lines = (",".join(map(fmt, row)) + "\n" for row in itertools.chain([header], rows))
+    _atomic_write(path, lines)
 
 
 def write_json(path, obj) -> None:
     """Write a JSON document atomically with sorted keys."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])

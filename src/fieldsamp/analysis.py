@@ -731,8 +731,9 @@ def _mirror_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, query: np
     """The interpolation rows at ``query``, in chunks ``(rows, f)`` of mostly ``rows`` or more.
 
     ``query`` is the grid quadrant ``x, y <= 0`` with ``quadrant``, built from
-    one grid period where that saves kernel values (``_quadrant_rows``), and
-    otherwise the grid points up to the centre, built densely.
+    one grid period where the lattice repeats along a grid axis
+    (``_quadrant_rows``), and otherwise the grid points up to the centre,
+    built densely.
     """
     chunks = _quadrant_rows(kern, pts, axis, rows) if quadrant else None
     if chunks is not None:
@@ -757,9 +758,7 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, rows: i
     them.  Returns an iterator of chunks ``(rows, f)``: the shifts of one
     grid line, ``h + 1`` rows each, merged until a chunk has at least
     ``rows`` rows, so one line's table and one chunk are held at a time.
-    None without such a ``p`` below the quadrant's side, or when
-    ``p |E|`` is no fewer kernel values than ``(h+1) |S|``: a wall-time
-    guard for small cells, where the dense build is the faster one.
+    None without such a ``p`` below the quadrant's side.
     """
     h = len(axis) // 2
     # steps[p - 1, d]: p grid steps along axis d, the smallest p first, then x
@@ -773,10 +772,6 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, rows: i
     # E in first-appearance order; 1-D codes sort about 20 times faster than np.unique(axis=0)
     span = np.ptp(shifted[:, 1]) + 1
     first = np.sort(np.unique(shifted[:, 0] * span + shifted[:, 1], return_index=True)[1])
-    # p |E| overcounts the prefix build, but on cells this small one dense
-    # call is faster than p line calls
-    if p * len(first) >= (h + 1) * len(pts):
-        return None
     ext = shifted[first]
     ext_pos = ext @ pts.q.q.T  # as enumerate_lattice computes positions
     picks = _index_rows(ext, shifted).reshape(-1, len(pts))

@@ -55,6 +55,7 @@ from .lattice import (
     periodicity_from_sampling,
 )
 from .scattering import (
+    _FIT_GRID_N,
     ScatteringScenario,
     _kept_mirrors,
     _threshold_mask,
@@ -70,24 +71,7 @@ class ConfigError(Exception):
 
 
 def _check_args(args) -> None:
-    """Reject malformed flag values before any computation starts."""
-    for name in ("L", "rmax", "step", "segment"):
-        v = getattr(args, name, None)
-        if v is not None and not (math.isfinite(v) and v > 0.0):
-            raise ConfigError(f"--{name} must be positive, got {v!r}")
-    lam = getattr(args, "lam", None)
-    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
-        raise ConfigError(f"--lambda must be positive, got {lam!r}")
-    for name in ("n_waves", "realizations", "workers"):
-        v = getattr(args, name, None)
-        if v is not None and v < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {v!r}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {seed!r}")
-    t = getattr(args, "threshold_db", None)
-    if t is not None and not (math.isfinite(t) and t < 0.0):
-        raise ConfigError(f"--threshold-db must be a negative real, got {t!r}")
+    """Reject flag combinations before any work; each flag's own range is its parser type."""
     out = os.path.abspath(args.out)
     while not os.path.exists(out):  # the nearest part of the path that exists
         out = os.path.dirname(out)
@@ -96,9 +80,9 @@ def _check_args(args) -> None:
     given = [n for n in ("--a1", "--a2", "--phi-deg")
              if getattr(args, n[2:].replace("-", "_"), None) is not None]
     kind = getattr(args, "scheme", None) or getattr(args, "support", None)
-    if given == ["--phi-deg"] or (given and kind in ("rect", "hex", "disk")):
-        raise ConfigError(f"{', '.join(given)} would be ignored: ellipse flags need "
-                          f"an ellipse and --phi-deg needs --a1/--a2")
+    if given and (kind in ("rect", "hex", "disk") or given[:2] != ["--a1", "--a2"]):
+        raise ConfigError(f"{', '.join(given)}: ellipse flags need an ellipse, --a1 and --a2 "
+                          f"go together, and --phi-deg needs them")
 
 
 def _check_memory(need: float, what: str, held: str) -> None:
@@ -112,8 +96,6 @@ def _check_memory(need: float, what: str, held: str) -> None:
 
 def _load_scenario(args) -> ScatteringScenario:
     if getattr(args, "scenario", None):
-        if not os.path.exists(args.scenario):
-            raise ConfigError(f"scenario file not found: {args.scenario}")
         try:
             s = ScatteringScenario.from_json(args.scenario)
         except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -121,17 +103,11 @@ def _load_scenario(args) -> ScatteringScenario:
         if args.lam is not None and abs(args.lam - s.kn.wavelength) > 1e-12 * s.kn.wavelength:
             raise ConfigError("--lambda conflicts with the wavelength in --scenario")
         return s
-    lam = args.lam if args.lam is not None else 1.0
-    try:
-        return ScatteringScenario.isotropic(Wavenumber.from_wavelength(lam))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScatteringScenario.isotropic(Wavenumber.from_wavelength(args.lam or 1.0))
 
 
 def _ellipse_shape(args, scenario: ScatteringScenario) -> EllipseShape:
-    if args.a1 is not None or args.a2 is not None:
-        if args.a1 is None or args.a2 is None:
-            raise ConfigError("--a1 and --a2 must be given together")
+    if args.a1 is not None:
         try:
             return EllipseShape(a1=args.a1, a2=args.a2,
                                 phi=math.radians(args.phi_deg or 0.0))
@@ -139,7 +115,18 @@ def _ellipse_shape(args, scenario: ScatteringScenario) -> EllipseShape:
             raise ConfigError(str(exc)) from exc
     if not getattr(args, "scenario", None):
         raise ConfigError("an ellipse support needs --a1/--a2 or --scenario to fit from")
-    return support_at_threshold(scenario, args.threshold_db)
+    return _fitted_shape(scenario, args.threshold_db)
+
+
+def _fitted_shape(scenario: ScatteringScenario, threshold_db: float,
+                  on_psd: bool = False) -> EllipseShape:
+    """``support_at_threshold``; a set too narrow for its grid to resolve is a config error."""
+    try:
+        return support_at_threshold(scenario, threshold_db, on_psd=on_psd)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: within {threshold_db:g} dB of its peak the spectrum is "
+                          f"narrower than the fit grid's step, kappa/{_FIT_GRID_N} = "
+                          f"{scenario.kn.kappa / _FIT_GRID_N:.6g} rad/m; give --a1/--a2") from exc
 
 
 def _covering_shape(args, scenario: ScatteringScenario) -> EllipseShape:
@@ -191,15 +178,15 @@ def cmd_lattice(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
     q, shape = _scheme_matrix(args.scheme, scenario, args)
     region = Region(side=args.L * kn.wavelength)
-    # per point, 224 bytes for its CSV text and its share of the candidates,
-    # which the circumscribed ellipse holds to about pi/2 of the points: the
-    # largest slope of max RSS between two sides of rect, hex and a thin tilted
-    # ellipse (216); and per candidate row, 256 bytes for its arrays and the up
-    # to 5 candidates past its chord, which a thin enough ellipse makes the most
-    # of (250, at L = 5e5 and 1e6 with a2 = 1e-9)
+    # per point, 120 bytes for the point and its share of the candidates (the
+    # circumscribed ellipse holds about pi/2 of the points; CSV rows are written
+    # as formatted): max RSS grew 88-93 a point between two sides of rect, hex and
+    # a thin tilted ellipse, and is 100 over the interpreter's at hex L = 200; and
+    # per candidate row, 256 bytes for its arrays and the up to 5 candidates past
+    # its chord, the most for a thin ellipse (250, at L = 5e5 and 1e6, a2 = 1e-9)
     rows = 2 * _ellipse_top(q.q, math.sqrt(0.5) * region.side) + 1
-    _check_memory(224.0 * region.area / abs(q.det) + 256.0 * rows, f"--L {args.L:g}",
-                  "its candidates and CSV rows")
+    _check_memory(120.0 * region.area / abs(q.det) + 256.0 * rows, f"--L {args.L:g}",
+                  "its points and candidates")
     pts = enumerate_lattice(q, region)
     p = periodicity_from_sampling(q)
     lam = kn.wavelength
@@ -388,16 +375,7 @@ def cmd_reconstruct(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
 
 def cmd_mse_sweep(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     kn = scenario.kn
-    lam = kn.wavelength
-    try:
-        sides = [float(v) for v in args.L_list.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid --L-list: {exc}") from exc
-    if not sides:
-        raise ConfigError("--L-list must contain at least one value")
-    for v in sides:
-        if not (math.isfinite(v) and v > 0.0):
-            raise ConfigError(f"--L-list entries must be finite and positive, got {v!r}")
+    lam, sides = kn.wavelength, args.L_list
     shape = _covering_shape(args, scenario)
     schemes = [
         ("ellipse_nyquist", nyquist_ellipse(kn, shape), kernel_ellipse(kn, shape)),
@@ -428,7 +406,7 @@ def cmd_support_fit(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     disk_area = math.pi * kn.kappa ** 2
     out = {"threshold_db": args.threshold_db, "lambda": kn.wavelength}
     for label, on_psd in (("factor", False), ("psd", True)):
-        shape = support_at_threshold(scenario, args.threshold_db, on_psd=on_psd)
+        shape = _fitted_shape(scenario, args.threshold_db, on_psd)
         area = support_area_at_threshold(scenario, args.threshold_db, on_psd=on_psd)
         entry = _shape_dict(shape)
         entry["measured_area"] = area
@@ -443,6 +421,27 @@ def cmd_support_fit(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
 
 
 # -- parser ----------------------------------------------------------------
+
+
+def _checked(parse, ok, domain: str, name: str = ""):
+    """A parser type: ``parse``'s value, or a usage error naming ``domain``.  Its name is
+    ``name``, else ``parse``'s; argparse quotes it for unparsable text ("invalid float value")."""
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+
+    check.__name__ = name or parse.__name__
+    return check
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
+_negative = _checked(float, lambda v: math.isfinite(v) and v < 0.0, "finite and negative")
+_count = _checked(int, lambda v: v >= 1, "at least 1")
+_natural = _checked(int, lambda v: v >= 0, "non-negative")
+_sides = _checked(lambda text: [_positive(v) for v in text.split(",") if v.strip()], bool,
+                  "a non-empty comma-separated list", name="float")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -462,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, scheme=False, threshold=False, mc=False):
         p.add_argument("--scenario", help="scenario JSON file")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
+        p.add_argument("--lambda", dest="lam", type=_positive, default=None,
                        help="wavelength (default 1; ignored if --scenario sets it)")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         if scheme:
@@ -473,62 +472,62 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--phi-deg", type=float, default=None,
                            help="explicit ellipse orientation in degrees")
         if threshold:
-            p.add_argument("--threshold-db", type=float, default=-20.0,
+            p.add_argument("--threshold-db", type=_negative, default=-20.0,
                            help="support fit threshold in dB (default -20)")
         if mc:
-            p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-            p.add_argument("--n-waves", type=int, default=1024,
+            p.add_argument("--seed", type=_natural, default=42, help="RNG seed (default 42)")
+            p.add_argument("--n-waves", type=_count, default=1024,
                            help="plane waves per realization (default 1024)")
 
     p = sub.add_parser("lattice", help="enumerate a sampling lattice over a region")
     common(p, scheme=True, threshold=True)
     p.add_argument("--scheme", choices=["rect", "hex", "ellipse"], required=True)
-    p.add_argument("--L", type=float, required=True, help="region side in wavelengths")
+    p.add_argument("--L", type=_positive, required=True, help="region side in wavelengths")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("dof", help="degrees-of-freedom report for a support")
     common(p, scheme=True, threshold=True)
     p.add_argument("--support", choices=["disk", "rect", "ellipse"], default="disk")
-    p.add_argument("--L", type=float, required=True, help="region side in wavelengths")
+    p.add_argument("--L", type=_positive, required=True, help="region side in wavelengths")
     p.set_defaults(func=cmd_dof)
 
     p = sub.add_parser("acf", help="autocorrelation profile along the x axis")
     common(p)
-    p.add_argument("--rmax", type=float, default=3.0,
+    p.add_argument("--rmax", type=_positive, default=3.0,
                    help="maximum displacement in wavelengths (default 3)")
-    p.add_argument("--step", type=float, default=0.0625,
+    p.add_argument("--step", type=_positive, default=0.0625,
                    help="displacement step in wavelengths (default 1/16)")
     p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("eigs", help="autocorrelation eigenvalue spectrum on a lattice")
     common(p, scheme=True, threshold=True)
     p.add_argument("--scheme", choices=["rect", "hex", "ellipse"], required=True)
-    p.add_argument("--L", type=float, required=True, help="region side in wavelengths")
+    p.add_argument("--L", type=_positive, required=True, help="region side in wavelengths")
     p.add_argument("--acf", choices=["auto", "clarke", "numeric"], default="auto")
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("reconstruct",
                        help="reconstruct one realization on a segment, two schemes")
     common(p, scheme=True, threshold=True, mc=True)
-    p.add_argument("--L", type=float, default=40.0, help="region side in wavelengths")
-    p.add_argument("--segment", type=float, default=6.0,
+    p.add_argument("--L", type=_positive, default=40.0, help="region side in wavelengths")
+    p.add_argument("--segment", type=_positive, default=6.0,
                    help="evaluation segment length in wavelengths (default 6)")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("mse-sweep",
                        help="reconstruction MSE versus region size for four schemes")
     common(p, scheme=True, threshold=True, mc=True)
-    p.add_argument("--L-list", default="2,4,8,16,20",
+    p.add_argument("--L-list", type=_sides, default="2,4,8,16,20",
                    help="comma-separated region sides in wavelengths")
-    p.add_argument("--realizations", type=int, default=500)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--realizations", type=_count, default=500)
+    p.add_argument("--workers", type=_count, default=1,
                    help="at least 1; changes neither the results nor the execution, "
                         "since BLAS already threads the matrix products (default 1)")
     p.set_defaults(func=cmd_mse_sweep)
 
     p = sub.add_parser("support-fit", help="fit the spectral support of a scenario")
     common(p, threshold=True)
-    p.add_argument("--L", type=float, default=None,
+    p.add_argument("--L", type=_positive, default=None,
                    help="optional region side in wavelengths for DoF reporting")
     p.set_defaults(func=cmd_support_fit)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -54,6 +55,27 @@ def run_cli(args, cwd, env=None):
     override is ``None`` is dropped.
     """
     return run_python(["-m", "fieldsamp", *args], cwd, env)
+
+
+# a contained child's address space: ample for a small run, well below the host's
+# memory, so a run that slips past a memory guard fails with MemoryError instead
+CONTAINED_AS = 3 * 2**30
+
+
+def run_cli_contained(args, cwd):
+    """``run_cli`` with the child's address space capped at ``CONTAINED_AS`` bytes.
+
+    A run longer than 60 s raises ``subprocess.TimeoutExpired``.  A hole in a
+    memory guard then shows as a ``resource`` failure or a timeout, not as
+    the OOM killer ending processes on the test host.
+    """
+    cmd, env = _child(["-m", "fieldsamp", *args])
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=60.0, preexec_fn=_cap_address_space)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CONTAINED_AS, CONTAINED_AS))
 
 
 def max_rss(args, cwd):

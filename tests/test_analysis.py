@@ -907,12 +907,13 @@ class TestQuadrantRows:
     # ELLIPSE every 16, (0, 2 lambda); at 8 lambda the ELLIPSE quadrant has 17
     # grid lines and reusing one would evaluate more than the dense build
     @pytest.mark.parametrize("q, kern, side", [
+        (nyquist_hex(KN), kernel_disk(KN), 4.0),
         (nyquist_hex(KN), kernel_disk(KN), 8.0),
         (nyquist_hex(KN), kernel_disk(KN), 20.0),
         (nyquist_ellipse(KN, ELLIPSE), kernel_ellipse(KN, ELLIPSE), 16.0),
         (nyquist_ellipse(KN, ELLIPSE), kernel_ellipse(KN, ELLIPSE), 20.0),
         (nyquist_ellipse(KN, TURNED), kernel_ellipse(KN, TURNED), 8.0),
-    ], ids=["hex-8", "hex-20", "ellipse-16", "ellipse-20", "hex-turned-8"])
+    ], ids=["hex-4", "hex-8", "hex-20", "ellipse-16", "ellipse-20", "hex-turned-8"])
     def test_period_rows_match_dense(self, q, kern, side):
         pts = enumerate_lattice(q, Region(side=side * LAM))
         axis, query = _quadrant_query(side * LAM)
@@ -928,8 +929,7 @@ class TestQuadrantRows:
 
     @pytest.mark.parametrize("q, kern, side", [
         (nyquist_ellipse(KN, FITTED), kernel_ellipse(KN, FITTED), 20.0),
-        (nyquist_hex(KN), kernel_disk(KN), 4.0),
-    ], ids=["fitted-ellipse-no-period", "hex-4-no-gain"])
+    ], ids=["fitted-ellipse-no-period"])
     def test_without_reuse_rows_are_dense(self, q, kern, side):
         pts = enumerate_lattice(q, Region(side=side * LAM))
         axis, query = _quadrant_query(side * LAM)

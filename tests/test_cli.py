@@ -19,8 +19,8 @@ from fieldsamp import (
     support_at_threshold,
 )
 from fieldsamp import analysis, cli
-from helpers import (broadside_json, max_rss, run_cli, run_python, two_cluster_json,
-                     write_scenario)
+from helpers import (broadside_json, max_rss, run_cli, run_cli_contained, run_python,
+                     two_cluster_json, write_scenario)
 
 KN = Wavenumber.from_wavelength(1.0)
 
@@ -452,6 +452,39 @@ class TestSupportFit:
         assert json.loads(res.stderr)["kind"] == "numeric"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["support-fit"],
+        ["mse-sweep", "--L-list", "1", "--realizations", "2", "--n-waves", "8"],
+        ["lattice", "--scheme", "ellipse", "--L", "2"],
+        ["dof", "--support", "ellipse", "--L", "2"],
+    ], ids=["support-fit", "mse-sweep", "lattice", "dof"])
+    def test_spectrum_too_narrow_to_fit_is_a_config_error(self, args, tmp_path):
+        # a zenith cluster at alpha = 1e6 is valid, but within 20 dB of its peak
+        # it is narrower than the kappa/200 fit grid, which keeps its centre
+        # point alone: the remedy is on the input side, explicit axes
+        scen = write_scenario(tmp_path / "needle.json", broadside_json(1e6))
+        res = run_cli(args + ["--scenario", scen, "--out", "out"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        doc = json.loads(res.stderr)
+        assert doc["kind"] == "config"
+        assert "-20 dB" in doc["error"] and "kappa/200" in doc["error"]
+        assert "--a1/--a2" in doc["error"]
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="degenerate"):  # the library's own error
+            support_at_threshold(ScatteringScenario.from_json(scen))
+
+    def test_tilted_needle_fails_in_its_normalization(self, tmp_path):
+        # tilted, the same cluster fails before any fit: its normalization
+        # quadrature does not converge, which stays a numeric failure
+        scen = write_scenario(tmp_path / "needle.json", {"lambda": 1.0, "clusters": [
+            {"weight": 1.0, "theta_deg": 30.0, "phi_deg": 0.0, "alpha": 1e6}]})
+        res = run_cli(["support-fit", "--scenario", scen, "--out", "out"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        doc = json.loads(res.stderr)
+        assert doc["kind"] == "numeric" and "did not reach tol" in doc["error"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestMseSweep:
     def test_workers_do_not_change_bytes(self, tmp_path, scen40):
@@ -540,6 +573,89 @@ class TestNumericFailures:
         assert len(res.stderr.splitlines()) == 1
         assert json.loads(res.stderr)["kind"] == "numeric"
         assert not (tmp_path / "out").exists()
+
+
+# The seeded hostile-input sweep.  Each command runs small; one case makes one
+# flag, or one field of a scenario, a boundary value.  Every flag is passed as
+# --flag=value, so that a negative exponent such as -1e-3 is read as a value.
+BOUNDARY = ["0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "-1e-3"]
+# each command's small flags, and the flags a case may make hostile; a flag case
+# gives unit axes, and a scenario case drops them so that its ellipse is fitted
+SWEEP = {
+    "lattice": ({"--scheme": "ellipse", "--L": "2", "--a1": "1", "--a2": "1"},
+                ["--L", "--lambda", "--a1", "--a2", "--phi-deg"]),
+    "dof": ({"--support": "ellipse", "--L": "2", "--a1": "1", "--a2": "1"},
+            ["--L", "--lambda", "--a1", "--a2", "--phi-deg"]),
+    "acf": ({"--rmax": "0.5", "--step": "0.125"}, ["--rmax", "--step", "--lambda"]),
+    "eigs": ({"--scheme": "hex", "--L": "2"}, ["--L", "--lambda"]),
+    "reconstruct": ({"--a1": "1", "--a2": "1", "--L": "2", "--segment": "1", "--n-waves": "8"},
+                    ["--L", "--segment", "--seed", "--n-waves", "--lambda", "--a1", "--phi-deg",
+                     "--threshold-db"]),
+    "mse-sweep": ({"--a1": "1", "--a2": "1", "--L-list": "1", "--realizations": "2",
+                   "--n-waves": "8"},
+                  ["--L-list", "--realizations", "--workers", "--seed", "--n-waves", "--lambda",
+                   "--a2", "--threshold-db"]),
+    "support-fit": ({"--L": "2"}, ["--L", "--threshold-db", "--lambda"]),
+}
+
+
+def hostile_cases():
+    """The sweep's ``(argv, scenario document or None)`` cases: 32 flag cases, 16 scenario ones."""
+    rng = np.random.default_rng(2109)
+    cases = []
+    for i in range(48):
+        command = str(rng.choice(sorted(SWEEP)))
+        small, hostile = SWEEP[command]
+        if i < 32:
+            flag = str(rng.choice(hostile))
+            if flag == "--realizations":  # a huge count is admitted by design, and runs for hours
+                values = ["0", "-1", "1", "2"]
+            elif flag in ("--seed", "--n-waves", "--workers"):
+                values = BOUNDARY + [str(10**12)]
+            else:
+                values = BOUNDARY
+            args, doc = {**small, flag: str(rng.choice(values))}, None
+        else:
+            cluster = {"weight": 1.0, "theta_deg": 10.0, "phi_deg": 30.0, "alpha": 40.0}
+            doc = {"lambda": 1.0, "clusters": [cluster]}
+            field = str(rng.choice(["lambda", "weight", "theta_deg", "phi_deg", "alpha"]))
+            (doc if field == "lambda" else cluster)[field] = float(rng.choice(BOUNDARY))
+            args = {k: v for k, v in small.items() if k not in ("--a1", "--a2")}
+            args["--scenario"] = "s.json"
+        cases.append(([command, *(f"{k}={v}" for k, v in args.items())], doc))
+    return cases
+
+
+class TestFailureContract:
+    def test_hostile_inputs_keep_the_contract(self, tmp_path):
+        # exit 0 with nothing on stderr and byte-identical reruns; exit 1 with one
+        # numeric or resource JSON line, or exit 2 with one config line, and no --out
+        kinds = {1: ("numeric", "resource"), 2: ("config",)}
+        broken = []
+        for i, (argv, doc) in enumerate(hostile_cases()):
+            outputs = []
+            for rerun in ("a", "b"):
+                cwd = tmp_path / f"{rerun}{i}"
+                cwd.mkdir()
+                if doc is not None:
+                    write_scenario(cwd / "s.json", doc)
+                res = run_cli_contained(argv + ["--out=out"], cwd)
+                out = cwd / "out"
+                if res.returncode == 0:
+                    if res.stderr:
+                        broken.append((argv, doc, res.stderr))
+                    outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+                    continue
+                try:
+                    kind = json.loads(res.stderr)["kind"]
+                except (ValueError, KeyError, TypeError):
+                    kind = None
+                if kind not in kinds.get(res.returncode, ()) or out.exists():
+                    broken.append((argv, doc, res.returncode, res.stderr))
+                break
+            if len(outputs) == 2 and outputs[0] != outputs[1]:
+                broken.append((argv, doc, "reran to other bytes"))
+        assert not broken
 
 
 # the names fieldsamp exports, by home module, besides the six public submodules
@@ -646,6 +762,8 @@ class TestSidecars:
         assert cfg["scenario_hash"] == ScatteringScenario.from_json(scen40).scenario_hash
         assert set(cfg) == set(vars(cli.build_parser().parse_args(args))) - {"func"} | {
             "version", "scenario_hash", *resolved}
+        if args[0] == "mse-sweep":  # the resolved sides, not the flag's text
+            assert cfg["L_list"] == [1.0]
 
 
 class TestBlasThreads:
