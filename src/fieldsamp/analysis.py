@@ -26,6 +26,7 @@ from .lattice import (
     _lattice_coords,
     _lattice_mirrors,
     _mirror_group,
+    _window_cut,
     alias_free,
     enumerate_lattice,
 )
@@ -64,9 +65,12 @@ def dof(s: SpectralSupport, region: Region) -> DofReport:
 
     Disk support on a side-L region gives ``pi * (L/wavelength)^2``; the
     square support gives ``(2L/wavelength)^2``; an ellipse scales the disk
-    value by ``a1*a2``.  The integer count is the ceiling of the real value.
+    value by ``a1*a2``.  The integer count is the ceiling of the real value;
+    a value that overflows raises ``ValueError``.
     """
     value = region.area * support_measure(s) / (TWO_PI * TWO_PI)
+    if not math.isfinite(value):
+        raise ValueError(f"the degrees of freedom of a side-{region.side:g} region overflow")
     return DofReport(
         support_kind=s.kind,
         side=region.side,
@@ -453,13 +457,13 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     Realization ``i`` draws from the deterministic substream
     ``default_rng([seed, i])``, so results are reproducible bit for bit and
     the cells are common-random-number paired: every scheme and every region
-    sees the same field.  The regions are nested, so for one ``q`` a smaller
-    region's lattice points are a subset of the largest region's, and its
-    grid the central sub-box ``|i|, |j| <= h`` of the largest grid.  Each
-    realization's waves are therefore drawn once, its true field synthesized
-    once on the largest grid, and, one scheme at a time, its samples
-    synthesized once on that scheme's largest lattice; each cell gathers its
-    own rows (matched by integer index) and its own sub-box.  Realizations
+    sees the same field.  The regions are nested, so each ``q``'s lattice is
+    enumerated once, over the largest region, and a smaller cell's points are
+    the rows its own window keeps (``lattice._window_cut``); its grid is the
+    central sub-box ``|i|, |j| <= h`` of the largest grid.  Each realization's
+    waves are drawn once, its true field synthesized once on the largest grid,
+    and its samples once per scheme, on that lattice; each cell picks its rows
+    (the largest takes them whole, uncopied) and its sub-box.  Realizations
     run in groups of 128; a group's truth is kept as an ``n_grid x group``
     complex table, so at most ``min(R, 128) * n_grid * 16`` bytes of it are
     held whatever ``n_realizations`` (R) is, next to one scheme's samples
@@ -530,8 +534,8 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     # each distinct side is one cell per scheme; the largest comes last
     sides = sorted({region.side for region in regions})
     cells = [Region(side=side) for side in sides]
-    lattices = [[enumerate_lattice(q, cell) for cell in cells] for q, _ in schemes]
-    rows = [[_rows_within(pts[-1], p) for p in pts] for pts in lattices]
+    lattices = [enumerate_lattice(q, cells[-1]) for q, _ in schemes]
+    cuts = [[_window_cut(whole, cell) for cell in cells] for whole in lattices]
 
     # the evaluation grid is the lattice step*I over a square index box
     step = s.kn.wavelength / 8
@@ -551,20 +555,19 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
                  for i in range(g0, min(g0 + _MSE_GROUP, n_realizations))]
         truth = _synthesize_group(grid_q, grid_idx, waves, root_m)
         box = truth.reshape(2 * big + 1, 2 * big + 1, len(waves))
-        for (q, kern), pts, picks, cell_totals in zip(schemes, lattices, rows, totals):
-            samples = _synthesize_group(q.q, pts[-1].indices, waves, root_m)
-            for p, pick, h, axis, total in zip(pts, picks, halves, axes, cell_totals):
-                cut = slice(big - h, big + h + 1)
+        for (q, kern), whole, scheme_cuts, cell_totals in zip(schemes, lattices, cuts, totals):
+            samples = _synthesize_group(q.q, whole.indices, waves, root_m)
+            for (pts, rows), h, axis, total in zip(scheme_cuts, halves, axes, cell_totals):
+                sub = slice(big - h, big + h + 1)
                 _add_squared_errors(
-                    total, q, kern, p, axis,
-                    samples if pick is None else samples[pick],
-                    truth if h == big else box[cut, cut].reshape(-1, len(waves)))
+                    total, q, kern, pts, axis, samples[rows],
+                    truth if h == big else box[sub, sub].reshape(-1, len(waves)))
             del samples  # one scheme's samples alive at a time
 
     reports = {}
     for j, (side, axis) in enumerate(zip(sides, axes)):
         reports[side] = []
-        for pts, cell_totals in zip(lattices, totals):
+        for scheme_cuts, cell_totals in zip(cuts, totals):
             pointwise = (cell_totals[j] / n_realizations).reshape(len(axis), len(axis))
             average = float(pointwise.mean())
             reports[side].append(MseReport(
@@ -573,24 +576,9 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
                 average=average,
                 normalized=average / 1.0,
                 n_realizations=n_realizations,
-                n_samples=len(pts[j]),
+                n_samples=len(scheme_cuts[j][0]),
             ))
     return [list(reports[region.side]) for region in regions]
-
-
-def _rows_within(whole: LatticePointSet, part: LatticePointSet) -> np.ndarray | None:
-    """The rows of ``whole`` holding ``part``'s indices, in ``part``'s order.
-
-    None when ``part`` is ``whole``'s own point set; ``ValueError`` if an
-    index of ``part`` is missing from ``whole``.
-    """
-    if part is whole:
-        return None
-    found = _index_rows(whole.indices, part.indices)
-    if np.any(found < 0):
-        raise ValueError("a smaller region's lattice point is missing from the largest "
-                         "region's lattice")
-    return found
 
 
 def _synthesize_group(q: np.ndarray, indices: np.ndarray, waves: list,

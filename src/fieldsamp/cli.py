@@ -8,7 +8,8 @@ package version, the scenario hash and those values.  A command whose
 allocations grow with its arguments first estimates its peak memory from
 them and rejects one above half of physical memory.  Files are written
 atomically after the computation succeeds.  Exit codes: 0 success, 1
-numerical failure or exhausted memory, 2 configuration error.
+numerical failure, exhausted memory or an output that cannot be written,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def _check_args(args) -> None:
         out = os.path.dirname(out)
     if not os.path.isdir(out):
         raise ConfigError(f"--out {args.out} cannot be made a directory: {out} is a file")
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {args.out} cannot be written: {out} is not writable")
     given = [n for n in ("--a1", "--a2", "--phi-deg")
              if getattr(args, n[2:].replace("-", "_"), None) is not None]
     kind = getattr(args, "scheme", None) or getattr(args, "support", None)
@@ -116,6 +119,14 @@ def _ellipse_shape(args, scenario: ScatteringScenario) -> EllipseShape:
     if not getattr(args, "scenario", None):
         raise ConfigError("an ellipse support needs --a1/--a2 or --scenario to fit from")
     return _fitted_shape(scenario, args.threshold_db)
+
+
+def _dof(support: SpectralSupport, region: Region, args):
+    """``dof``; a side whose count overflows is a config error naming ``--L``."""
+    try:
+        return dof(support, region)
+    except ValueError as exc:
+        raise ConfigError(f"--L {args.L:g}: {exc}") from exc
 
 
 def _fitted_shape(scenario: ScatteringScenario, threshold_db: float,
@@ -220,7 +231,7 @@ def cmd_dof(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
     region = Region(side=args.L * kn.wavelength)
     shape = _ellipse_shape(args, scenario) if args.support == "ellipse" else None
     support = SpectralSupport(args.support, kn, shape)
-    report = dof(support, region)
+    report = _dof(support, region, args)
     # per mode of the area formula, 64 bytes for its candidates (max RSS grew
     # 56-57 a mode between two sides of the disk and of a thin tilted
     # ellipse); and per row of the mode ellipse, whose radius kappa L / (2 pi)
@@ -414,7 +425,7 @@ def cmd_support_fit(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
         if args.L is not None:
             region = Region(side=args.L * kn.wavelength)
             support = SpectralSupport.ellipse(kn, shape)
-            entry["dof_formula"] = dof(support, region).dof_real
+            entry["dof_formula"] = _dof(support, region, args).dof_real
             entry["dof_direct_area"] = region.area * area / (2.0 * math.pi) ** 2
         out[label] = entry
     return {"support_fit.json": ("json", out)}, {}
@@ -546,19 +557,19 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             scenario = _load_scenario(args)
             outputs, resolved = args.func(args, scenario)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        config.update(version=__version__, scenario_hash=scenario.scenario_hash, **resolved)
+        outputs[f"{args.command.replace('-', '_')}_config.json"] = ("json", config)
+        _write_outputs(args.out, outputs)
     except ConfigError as exc:
         _fail("config", exc)
         return 2
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         _fail("numeric", exc)
         return 1
-    except MemoryError as exc:
+    except (MemoryError, OSError) as exc:  # OSError: an output that cannot be written
         _fail("resource", exc)
         return 1
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config.update(version=__version__, scenario_hash=scenario.scenario_hash, **resolved)
-    outputs[f"{args.command.replace('-', '_')}_config.json"] = ("json", config)
-    _write_outputs(args.out, outputs)
     return 0
 
 

@@ -219,6 +219,11 @@ def _ellipse_rows(a: np.ndarray, rho: float) -> np.ndarray:
     return np.column_stack([n1, np.repeat(n2, count)])
 
 
+def _in_window(positions: np.ndarray, side: float) -> np.ndarray:
+    """Whether each position is in the closed window ``|x|_inf <= side/2 (1 + _BOUNDARY_RTOL)``."""
+    return np.all(np.abs(positions) <= 0.5 * side * (1.0 + _BOUNDARY_RTOL), axis=1)
+
+
 def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
     """All lattice points Q @ n inside a centered square region.
 
@@ -229,13 +234,20 @@ def enumerate_lattice(q: SamplingMatrix, region: Region) -> LatticePointSet:
     is symmetric through the origin, so rows ``i`` and ``N-1-i`` are exact
     mirrors: their indices and positions are negatives of each other.
     """
-    half = 0.5 * region.side * (1.0 + _BOUNDARY_RTOL)
-    n = _ellipse_rows(q.q, math.sqrt(2.0) * half)
+    n = _ellipse_rows(q.q, math.sqrt(0.5) * region.side * _WINDOW_SLACK)
     pos = n @ q.q.T
-    keep = np.all(np.abs(pos) <= half, axis=1)
+    keep = _in_window(pos, region.side)
     n = n[keep]  # each candidate array dropped as soon as its points are taken
     pos = pos[keep]
     return LatticePointSet(indices=n, positions=pos, q=q, region=region)
+
+
+def _window_cut(points: LatticePointSet, region: Region):
+    """The rows of ``points`` that ``enumerate_lattice`` keeps over ``region``, in order, and
+    which they are: a mask, or ``slice(None)``, which gathers without a copy, if all are kept."""
+    keep = _in_window(points.positions, region.side)
+    rows = slice(None) if keep.all() else keep
+    return LatticePointSet(points.indices[rows], points.positions[rows], points.q, region), rows
 
 
 MIRRORS = {

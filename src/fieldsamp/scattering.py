@@ -193,13 +193,23 @@ def _kept_mirrors(s: ScatteringScenario) -> set[str]:
     return kept
 
 
+# The law exp(a (c - 1)) of the cosine c to a cluster's mode, on the cap c >= 1 - h;
+# expm1 and log1p keep a tiny a, for which 1 - exp(-a h) rounds to zero.
+def _cap_mass(a: float, h: float) -> float:
+    """Its mass, ``-expm1(-a h) / a``, and ``h`` at ``a = 0``."""
+    return -math.expm1(-a * h) / a if a else h
+
+
+def _cap_cosine(a: float, h: float, v):
+    """Its inverse CDF from the mode, ``v`` = 0 at the mode to 1 at the cap's rim."""
+    return 1.0 + np.log1p(v * math.expm1(-a * h)) / a if a else 1.0 - h * v
+
+
 def _hemisphere_exp_integral(cluster: VmfCluster) -> float:
     """Integral of exp(alpha*(mode.u - 1)) sin(theta) over the hemisphere."""
     a = cluster.alpha
-    if a == 0.0:
-        return TWO_PI
-    if cluster.theta_r == 0.0:
-        return TWO_PI * (1.0 - math.exp(-a)) / a
+    if a == 0.0 or cluster.theta_r == 0.0:
+        return TWO_PI * _cap_mass(a, 1.0)
     xi = cluster.modal_direction
 
     def level(n):
@@ -208,7 +218,7 @@ def _hemisphere_exp_integral(cluster: VmfCluster) -> float:
 
     # the hemisphere holds between half and all of the full-sphere integral,
     # so this absolute tolerance is at most 1e-11 relative to the result
-    full = TWO_PI * (1.0 - math.exp(-2.0 * a)) / a
+    full = TWO_PI * _cap_mass(a, 2.0)
     return refine((32, 64, 128, 256, 512, 1024), level, 0.5e-11 * full,
                   f"cluster normalization integral (alpha={a!r})")
 

@@ -28,7 +28,7 @@ from ._io import write_csv, write_json
 from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, Wavenumber
 from .lattice import SamplingMatrix, _lattice_coords, _reduced_basis, periodicity_from_sampling
-from .scattering import ScatteringScenario, _factor_sq
+from .scattering import ScatteringScenario, _cap_cosine, _factor_sq
 
 __all__ = [
     "Acf",
@@ -281,11 +281,7 @@ def _cluster_directions(cluster, rng: np.random.Generator, n: int) -> np.ndarray
     """Draw n unit arrival directions from one cluster's hemisphere density."""
     a = cluster.alpha
     if a == 0.0 or cluster.theta_r == 0.0:
-        v = rng.random(n)
-        if a == 0.0:
-            ct = 1.0 - v
-        else:
-            ct = 1.0 + np.log1p(-v * (1.0 - math.exp(-a))) / a
+        ct = _cap_cosine(a, 1.0, rng.random(n))
         st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
         ph = TWO_PI * rng.random(n)
         return np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
@@ -300,8 +296,7 @@ def _cluster_directions(cluster, rng: np.random.Generator, n: int) -> np.ndarray
     filled = 0
     while filled < n:
         batch = max(64, int(1.5 * (n - filled)) + 16)
-        v = rng.random(batch)
-        w = 1.0 + np.log(v + (1.0 - v) * math.exp(-2.0 * a)) / a
+        w = _cap_cosine(a, 2.0, 1.0 - rng.random(batch))  # 1 - v: draws keep their order
         st = np.sqrt(np.clip(1.0 - w * w, 0.0, None))
         tang = TWO_PI * rng.random(batch)
         dirs = (w[:, None] * xi[None, :]

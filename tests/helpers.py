@@ -43,8 +43,13 @@ def brute_force_disk_modes(rho):
     return count
 
 
+# a CLI child's address space: ample for a small run, well below the host's memory,
+# so a run that slips past a memory guard fails with MemoryError instead
+CONTAINED_AS = 3 * 2**30
+
+
 def run_cli(args, cwd, env=None):
-    """Run the CLI of the package these tests imported, in a subprocess.
+    """Run the CLI of the package these tests imported, in a contained subprocess.
 
     The directory ``fieldsamp`` was imported from goes first on the child's
     PYTHONPATH as an absolute path, so the child runs the same code whether it
@@ -53,23 +58,13 @@ def run_cli(args, cwd, env=None):
     trailing separator would put ``cwd`` on the child's ``sys.path``.  The
     variables in ``env``, if given, override the inherited ones; one whose
     override is ``None`` is dropped.
+
+    The child's address space is capped at ``CONTAINED_AS`` bytes, and a run
+    longer than 60 s raises ``subprocess.TimeoutExpired``.  A hole in a memory
+    guard then shows as a ``resource`` failure or a timeout, not as the OOM
+    killer ending processes on the test host.
     """
-    return run_python(["-m", "fieldsamp", *args], cwd, env)
-
-
-# a contained child's address space: ample for a small run, well below the host's
-# memory, so a run that slips past a memory guard fails with MemoryError instead
-CONTAINED_AS = 3 * 2**30
-
-
-def run_cli_contained(args, cwd):
-    """``run_cli`` with the child's address space capped at ``CONTAINED_AS`` bytes.
-
-    A run longer than 60 s raises ``subprocess.TimeoutExpired``.  A hole in a
-    memory guard then shows as a ``resource`` failure or a timeout, not as
-    the OOM killer ending processes on the test host.
-    """
-    cmd, env = _child(["-m", "fieldsamp", *args])
+    cmd, env = _child(["-m", "fieldsamp", *args], env)
     return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=60.0, preexec_fn=_cap_address_space)
 

@@ -46,7 +46,6 @@ from fieldsamp.analysis import (
     _interp_matrix,
     _mirror_rows,
     _quadrant_rows,
-    _rows_within,
 )
 from fieldsamp.lattice import MIRRORS, _mirror_group
 from fieldsamp.scattering import ScatteringScenario, VmfCluster, _kept_mirrors
@@ -1055,14 +1054,6 @@ class TestMseSweep:
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a.pointwise, b.pointwise)
                 assert a.n_samples == b.n_samples
-
-    def test_missing_lattice_row_raises(self):
-        q = nyquist_hex(KN)
-        small, large = (enumerate_lattice(q, Region(side=v * LAM)) for v in (2.0, 3.0))
-        rows = _rows_within(large, small)
-        assert np.array_equal(large.indices[rows], small.indices)
-        with pytest.raises(ValueError, match="missing"):
-            _rows_within(small, large)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="regions"):

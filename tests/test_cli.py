@@ -1,6 +1,7 @@
 """End-to-end command-line checks, through subprocess invocations except
 where a failure has to be injected into the running process."""
 
+import errno
 import json
 import math
 import os
@@ -19,8 +20,8 @@ from fieldsamp import (
     support_at_threshold,
 )
 from fieldsamp import analysis, cli
-from helpers import (broadside_json, max_rss, run_cli, run_cli_contained, run_python,
-                     two_cluster_json, write_scenario)
+from fieldsamp._io import _atomic_write
+from helpers import broadside_json, max_rss, run_cli, run_python, two_cluster_json, write_scenario
 
 KN = Wavenumber.from_wavelength(1.0)
 
@@ -233,6 +234,67 @@ class TestUsage:
         assert res.returncode == 2
 
 
+class TestOutWrites:
+    def test_unwritable_out_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+
+        monkeypatch.setattr(cli, "_load_scenario", never)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        out = tmp_path / "out" / "sub"
+        assert cli.main(["dof", "--L", "2", "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["kind"] == "config"
+        assert "--out" in doc["error"] and f"{tmp_path} is not writable" in doc["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_out_that_cannot_be_made_is_one_resource_line(self, tmp_path, monkeypatch,
+                                                          capsys):
+        out = tmp_path / "out"
+
+        def makedirs(*args, **kwargs):
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", str(out))
+
+        monkeypatch.setattr(cli.os, "makedirs", makedirs)
+        assert cli.main(["dof", "--L", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["kind"] == "resource"
+        assert not out.exists()
+
+    def test_failed_write_keeps_earlier_files_whole(self, tmp_path, monkeypatch, capsys):
+        # dof.json is written before the sidecar, whose write fails
+        write_json = cli.write_json
+
+        def failing(path, obj):
+            if path.endswith("_config.json"):
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            write_json(path, obj)
+
+        monkeypatch.setattr(cli, "write_json", failing)
+        out = tmp_path / "out"
+        assert cli.main(["dof", "--L", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["kind"] == "resource" and "No space left" in doc["error"]
+        assert [p.name for p in out.iterdir()] == ["dof.json"]
+        assert read_json(out / "dof.json")["dof_count"] == 13  # ceil(4 pi)
+
+    def test_atomic_write_failing_midway_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+
+        def rows():
+            yield "new,1\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            _atomic_write(target, rows())
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no .tmp-* left
+
+
 class TestLattice:
     def test_hex_summary_and_points(self, tmp_path):
         res = run_cli(["lattice", "--scheme", "hex", "--L", "10",
@@ -296,6 +358,18 @@ class TestDof:
         assert doc["mode_count"] == 317
         assert doc["dof_loss_rect_vs_disk"] == pytest.approx(1.0 - math.pi / 4.0,
                                                              abs=1e-12)
+
+
+    @pytest.mark.parametrize("side", ["1e160", "1e300"])
+    @pytest.mark.parametrize("command", ["dof", "support-fit"])
+    def test_overflowing_side_is_a_config_error(self, command, side, tmp_path):
+        # the region's area, and so its degrees of freedom, overflow to inf
+        res = run_cli([command, "--L", side, "--out", "out"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        doc = json.loads(res.stderr)
+        assert doc["kind"] == "config" and f"--L {float(side):g}" in doc["error"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestAcf:
@@ -518,6 +592,27 @@ class TestMseSweep:
         assert lines[:5] == (tmp_path / "b" / "mse_sweep.csv").read_text().splitlines()
 
 
+class TestTinyConcentration:
+    @pytest.mark.parametrize("args", [
+        ["support-fit", "--L", "2"],
+        ["acf", "--rmax", "0.5"],
+        ["eigs", "--scheme", "hex", "--L", "2"],
+        ["reconstruct", "--L", "2", "--segment", "1", "--n-waves", "8"],
+        ["mse-sweep", "--L-list", "1", "--realizations", "2", "--n-waves", "8"],
+        ["lattice", "--scheme", "ellipse", "--L", "2"],
+        ["dof", "--support", "ellipse", "--L", "2"],
+    ], ids=["support-fit", "acf", "eigs", "reconstruct", "mse-sweep", "lattice", "dof"])
+    @pytest.mark.parametrize("theta_deg, alpha", [(10.0, 1e-17), (0.0, 1e-300)],
+                             ids=["tilted", "zenith"])
+    def test_near_isotropic_cluster_runs(self, args, theta_deg, alpha, tmp_path):
+        # a valid cluster whose concentration rounds 1 - exp(-alpha) to zero
+        scen = write_scenario(tmp_path / "s.json", {"lambda": 1.0, "clusters": [
+            {"weight": 1.0, "theta_deg": theta_deg, "phi_deg": 0.0, "alpha": alpha}]})
+        res = run_cli(args + ["--scenario", scen, "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
+
 class TestGuards:
     @pytest.mark.parametrize("args", [
         ["lattice", "--scheme", "hex", "--L", "200"],
@@ -639,7 +734,7 @@ class TestFailureContract:
                 cwd.mkdir()
                 if doc is not None:
                     write_scenario(cwd / "s.json", doc)
-                res = run_cli_contained(argv + ["--out=out"], cwd)
+                res = run_cli(argv + ["--out=out"], cwd)
                 out = cwd / "out"
                 if res.returncode == 0:
                     if res.stderr:

@@ -25,7 +25,7 @@ from fieldsamp import (
     periodicity_from_sampling,
     sampling_from_periodicity,
 )
-from fieldsamp.lattice import _index_rows, _lattice_coords
+from fieldsamp.lattice import _index_rows, _lattice_coords, _window_cut
 from helpers import brute_force_lattice_count, shuffled_rows
 
 LAM = 1.0
@@ -189,6 +189,38 @@ class TestEnumerate:
         assert np.array_equal(a.indices, b.indices)
         order = np.lexsort((a.indices[:, 0], a.indices[:, 1]))
         assert np.array_equal(order, np.arange(len(a)))
+
+
+class TestWindowCut:
+    WHOLE = 40.0 * LAM
+    # sides 1 and 2 put the rect window's edge through rows of lattice points
+    SIDES = sorted({*np.linspace(0.5, 39.9, 16).tolist(), 1.0, 2.0, 40.0})
+
+    @pytest.mark.parametrize("q", [
+        nyquist_rect(KN),
+        nyquist_hex(KN),
+        nyquist_ellipse(KN, EllipseShape(a1=0.8, a2=0.5, phi=0.6)),
+        nyquist_ellipse(KN, EllipseShape(0.9, 0.01, math.radians(45))),
+        nyquist_rect(Wavenumber.from_wavelength(LAM / 0.8)),
+        SamplingMatrix([[0.41, 0.2], [0.0, 0.41]]),
+    ], ids=["rect", "hex", "rotated-ellipse", "thin-ellipse", "matched-rect", "sheared"])
+    def test_cut_equals_enumeration(self, q):
+        whole = enumerate_lattice(q, Region(side=self.WHOLE))
+        for side in self.SIDES:
+            region = Region(side=side * LAM)
+            cut, rows = _window_cut(whole, region)
+            want = enumerate_lattice(q, region)
+            assert cut.region == region
+            assert np.array_equal(cut.indices, want.indices)
+            assert cut.positions.tobytes() == want.positions.tobytes()
+            assert np.array_equal(whole.indices[rows], cut.indices)
+
+    def test_whole_set_is_not_copied(self):
+        whole = enumerate_lattice(nyquist_hex(KN), Region(side=4.0 * LAM))
+        cut, rows = _window_cut(whole, whole.region)
+        assert rows == slice(None)
+        assert np.shares_memory(cut.positions, whole.positions)
+        assert np.shares_memory(cut.indices, whole.indices)
 
 
 class TestMirrorPermutations:

@@ -163,6 +163,13 @@ class TestSpectralFactor:
         half = math.pi * (1.0 - math.exp(-2.0 * alpha)) / alpha
         assert _hemisphere_exp_integral(cluster) == pytest.approx(half, rel=1e-11)
 
+    @pytest.mark.parametrize("theta, alpha", [(math.radians(10.0), 1e-17), (0.0, 1e-300)],
+                             ids=["tilted", "zenith"])
+    def test_tiny_concentration_normalizes_as_isotropic(self, theta, alpha):
+        # 1 - exp(-alpha) rounds to zero here; the mass written with expm1 does not
+        cluster = VmfCluster(1.0, theta, 0.0, alpha)
+        assert _hemisphere_exp_integral(cluster) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
     def test_mixture_is_weighted_sum(self):
         a = VmfCluster(0.3, 0.2, 1.0, 15.0)
         b = VmfCluster(0.7, 0.9, 4.0, 3.0)

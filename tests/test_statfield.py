@@ -285,6 +285,20 @@ class TestSynthesize:
         assert np.hypot(k[:, 0], k[:, 1]).max() < KN.kappa
         assert gains.shape == (4096,)
 
+    @pytest.mark.parametrize("theta_deg, alpha", [(10.0, 1e-17), (0.0, 1e-300)],
+                             ids=["tilted", "zenith"])
+    def test_tiny_concentration_draws_as_isotropic(self, theta_deg, alpha):
+        # a near-isotropic cluster's cosines to the zenith are uniform on [0, 1]:
+        # mean 1/2, variance 1/12, whose draws' standard errors are sqrt(1/12 n)
+        # and sqrt(1/180 n) (the fourth central moment is 1/80)
+        s = ScatteringScenario.from_dict({"lambda": LAM, "clusters": [
+            {"weight": 1.0, "theta_deg": theta_deg, "phi_deg": 0.0, "alpha": alpha}]})
+        n = 20000
+        k, _ = _draw_waves(s, np.random.default_rng(8), n)
+        ct = np.sqrt(1.0 - np.minimum((k[:, 0] ** 2 + k[:, 1] ** 2) / KN.kappa ** 2, 1.0))
+        assert abs(ct.mean() - 0.5) < 5.0 * math.sqrt(1.0 / 12.0 / n)
+        assert abs(ct.var() - 1.0 / 12.0) < 5.0 * math.sqrt(1.0 / 180.0 / n)
+
     def test_values_match_direct_plane_wave_sum(self):
         # independent evaluation of the same draw through a plain complex
         # exponential sum
