@@ -399,10 +399,14 @@ def mse_experiment(s: ScatteringScenario, q: SamplingMatrix, kern: Kernel,
 
     The one-cell case of ``mse_sweep``, which documents the arguments, the
     evaluation grid and the substreams; the report is the one it gives for
-    ``[(q, kern)]`` and ``[region]``, bit for bit.  Kept for the benchmark's replay.
+    ``[(q, kern)]`` and ``[region]``, bit for bit.  Kept for the benchmark's
+    replay, which passes ``workers``; it is checked to be at least 1 and
+    otherwise unused, since BLAS already threads the matrix products.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers!r}")
     return mse_sweep(s, [(q, kern)], [region], n_realizations=n_realizations, seed=seed,
-                     n_waves=n_waves, workers=workers)[0][0]
+                     n_waves=n_waves)[0][0]
 
 
 def _grid_half(s: ScatteringScenario, region: Region) -> int:
@@ -440,7 +444,7 @@ def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
 
 def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]],
               regions: list[Region], n_realizations: int = 500, seed: int = 42,
-              n_waves: int = 1024, workers: int = 1) -> list[list[MseReport]]:
+              n_waves: int = 1024) -> list[list[MseReport]]:
     """Monte Carlo reconstruction MSE of several schemes over several regions.
 
     ``schemes`` is a sequence of ``(q, kern)`` pairs and ``regions`` a
@@ -476,9 +480,7 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     errors are added to its total one realization after another, in order
     (``_add_squared_errors``), whichever group size, schemes and regions
     run with it; the products' shapes follow the group size, though, and
-    BLAS may round different shapes differently.  ``workers`` is
-    validated but changes neither the results nor the execution: the BLAS
-    library already runs the matrix products on every core it uses.
+    BLAS may round different shapes differently.
 
     The largest region's reports equal a run over that region alone, bit
     for bit.  A smaller region's values come out of a larger exponential
@@ -508,7 +510,8 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
       lattice vector ``Q m`` (hex: ``(0, wavelength)``, ``p = 8``), the row
       ``p`` steps on is the row over the samples shifted by ``m``, so the
       kernel is evaluated on ``p`` grid lines only and the other rows are
-      gathered from them (``_quadrant_rows``).
+      gathered from them; every other build evaluates its rows densely
+      (``_mirror_rows``).
 
     Summation orders and the reused rows' kernel arguments differ from a
     dense build by round-off, so figures agree with it to round-off, not
@@ -525,8 +528,6 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
         raise ValueError(f"n_realizations must be positive, got {n_realizations!r}")
     if n_waves < 1:
         raise ValueError(f"n_waves must be positive, got {n_waves!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers!r}")
     if not regions:
         raise ValueError("regions must not be empty")
     for q, kern in schemes:
@@ -560,7 +561,7 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
             for (pts, rows), h, axis, total in zip(scheme_cuts, halves, axes, cell_totals):
                 sub = slice(big - h, big + h + 1)
                 _add_squared_errors(
-                    total, q, kern, pts, axis, samples[rows],
+                    total, kern, pts, axis, samples[rows],
                     truth if h == big else box[sub, sub].reshape(-1, len(waves)))
             del samples  # one scheme's samples alive at a time
 
@@ -590,9 +591,8 @@ def _synthesize_group(q: np.ndarray, indices: np.ndarray, waves: list,
     return out
 
 
-def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
-                        pts: LatticePointSet, axis: np.ndarray, samples: np.ndarray,
-                        truth: np.ndarray) -> None:
+def _add_squared_errors(total: np.ndarray, kern: Kernel, pts: LatticePointSet,
+                        axis: np.ndarray, samples: np.ndarray, truth: np.ndarray) -> None:
     """Add one group's squared reconstruction errors of one cell into ``total``.
 
     ``axis`` holds the grid's coordinates along x and along y, ``samples``
@@ -602,7 +602,7 @@ def _add_squared_errors(total: np.ndarray, q: SamplingMatrix, kern: Kernel,
     each grid point's errors are added to its total one realization after
     another, in order, however the pieces and groups fall.
     """
-    if kern.support.kind == "rect" and q.q[0, 1] == 0.0 and q.q[1, 0] == 0.0:
+    if kern.support.kind == "rect" and pts.q.q[0, 1] == 0.0 and pts.q.q[1, 0] == 0.0:
         pieces = _separable_reconstruction(kern, pts, axis, samples)
     else:
         pieces = _mirrored_reconstruction(kern, pts, axis, samples)
@@ -666,8 +666,8 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     too, so the row at grid point ``F g`` is the row at ``g`` with the
     samples permuted.  These mirrors form a group (``_mirror_group``); with
     four elements (both axis flips) only the quadrant ``x, y <= 0`` is
-    built (``_quadrant_rows``), otherwise (a rotated ellipse, a sheared
-    ``Q``) the rows up to the grid centre.  The rows come in chunks, and
+    built, otherwise (a rotated ellipse, a sheared ``Q``) the rows up to the
+    grid centre; ``_mirror_rows`` makes them.  The rows come in chunks, and
     each chunk is multiplied against the samples and their permutations and
     dropped, so no more than a chunk of rows is ever held; the grid points
     that different rows reach are disjoint.  The centre row is built first
@@ -718,42 +718,31 @@ def _mirror_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, query: np
                  quadrant: bool, rows: int):
     """The interpolation rows at ``query``, in chunks ``(rows, f)`` of mostly ``rows`` or more.
 
-    ``query`` is the grid quadrant ``x, y <= 0`` with ``quadrant``, built from
-    one grid period where the lattice repeats along a grid axis
-    (``_quadrant_rows``), and otherwise the grid points up to the centre,
-    built densely.
-    """
-    chunks = _quadrant_rows(kern, pts, axis, rows) if quadrant else None
-    if chunks is not None:
-        return chunks
-    step = max(rows, _INTERP_ELEMS // len(pts))
-    return ((np.arange(r0, min(r0 + step, len(query))),
-             _interp_matrix(kern, query[r0:r0 + step], pts.positions))
-            for r0 in range(0, len(query), step))
-
-
-def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, rows: int):
-    """Interpolation rows on the grid quadrant ``x, y <= 0``, one grid period built.
-
-    Row ``i * (h+1) + j`` is at ``(axis[i], axis[j])``.  A row depends on
-    ``g - Q n`` alone, so when ``p`` grid steps along a grid axis make a
+    ``query`` is the grid quadrant ``x, y <= 0`` with ``quadrant``, row
+    ``i * (h+1) + j`` at ``(axis[i], axis[j])``, and otherwise the grid
+    points up to the centre.  A row depends on ``g - Q n`` alone, so when the
+    domain is the quadrant and ``p <= h`` grid steps along a grid axis make a
     lattice vector ``t = Q m`` (hex: ``t = (0, wavelength)``, ``p = 8``), the
     row at ``g + c t`` is the row at ``g`` over the samples ``n - c m``.  The
     kernel is then evaluated only on the first ``p`` grid lines across that
     axis (one ``_interp_matrix`` call each), line ``a`` over the part of
     the index set ``E``, the union of ``S - c m``, that its shifts
     ``c <= (h - a) // p`` gather from, and every other row is gathered from
-    them.  Returns an iterator of chunks ``(rows, f)``: the shifts of one
-    grid line, ``h + 1`` rows each, merged until a chunk has at least
-    ``rows`` rows, so one line's table and one chunk are held at a time.
-    None without such a ``p`` below the quadrant's side.
+    them: a chunk is the shifts of one grid line, ``h + 1`` rows each, merged
+    until it has at least ``rows`` rows, so one line's table and one chunk
+    are held at a time.  Otherwise every row is built densely, in chunks of
+    ``max(rows, _INTERP_ELEMS // N)`` rows.
     """
     h = len(axis) // 2
     # steps[p - 1, d]: p grid steps along axis d, the smallest p first, then x
     steps = axis[-1] / max(h, 1) * np.arange(1, h + 1)[:, None, None] * np.eye(2)
     coords, on = _lattice_coords(pts.q.q, steps)
-    if not on.any():
-        return None
+    if not (quadrant and on.any()):
+        step = max(rows, _INTERP_ELEMS // len(pts))
+        for r0 in range(0, len(query), step):
+            yield (np.arange(r0, min(r0 + step, len(query))),
+                   _interp_matrix(kern, query[r0:r0 + step], pts.positions))
+        return
     k, dim = np.argwhere(on)[0]
     p, m = k + 1, coords[k, dim]
     shifted = (pts.indices[None] - np.arange(h // p + 1)[:, None, None] * m).reshape(-1, 2)
@@ -765,21 +754,14 @@ def _quadrant_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, rows: i
     picks = _index_rows(ext, shifted).reshape(-1, len(pts))
     # line a serves the shifts c <= (h - a) // p, which gather from E[:ends[a]]
     ends = np.searchsorted(first, len(pts) * ((h - np.arange(p)) // p + 1))
-    # dest[a, o] and lines[a, o]: the row and the grid point at index a along
-    # the period axis and o across it
+    # dest[a, o]: the row at index a along the period axis and o across it
     dest = np.arange((h + 1) ** 2).reshape(h + 1, h + 1).transpose(dim, 1 - dim)
-    lines = np.empty((p, h + 1, 2))
-    lines[..., dim], lines[..., 1 - dim] = axis[:p, None], axis[:h + 1]
-
-    def chunks():
-        per = -(-rows // (h + 1))  # shifts per chunk, for at least ``rows`` rows
-        for a in range(p):
-            table = _interp_matrix(kern, lines[a], ext_pos[:ends[a]])
-            for c0 in range(0, (h - a) // p + 1, per):
-                shifts = np.arange(c0, min(c0 + per, (h - a) // p + 1))
-                # rows (o, c): grid point o across the period axis at shift c
-                yield (dest[a + shifts * p].T.ravel(),
-                       table[:, picks[shifts]].reshape(-1, len(pts)))
-            del table  # before the next line's is built
-
-    return chunks()
+    per = -(-rows // (h + 1))  # shifts per chunk, for at least ``rows`` rows
+    for a in range(p):
+        table = _interp_matrix(kern, query[dest[a]], ext_pos[:ends[a]])
+        for c0 in range(0, (h - a) // p + 1, per):
+            shifts = np.arange(c0, min(c0 + per, (h - a) // p + 1))
+            # rows (o, c): grid point o across the period axis at shift c
+            yield (dest[a + shifts * p].T.ravel(),
+                   table[:, picks[shifts]].reshape(-1, len(pts)))
+        del table  # before the next line's is built

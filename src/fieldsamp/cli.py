@@ -401,7 +401,7 @@ def cmd_mse_sweep(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
                   f"--L-list side {max(sides):g}", "its grid, samples and interpolation rows")
     per_side = mse_sweep(scenario, pairs, [Region(side=side * lam) for side in sides],
                          n_realizations=args.realizations, seed=args.seed,
-                         n_waves=args.n_waves, workers=args.workers)
+                         n_waves=args.n_waves)
     rows = [(side, name, _db(rep.normalized))
             for side, reports in zip(sides, per_side)
             for (name, _, _), rep in zip(schemes, reports)]

@@ -195,14 +195,23 @@ def _kept_mirrors(s: ScatteringScenario) -> set[str]:
 
 # The law exp(a (c - 1)) of the cosine c to a cluster's mode, on the cap c >= 1 - h;
 # expm1 and log1p keep a tiny a, for which 1 - exp(-a h) rounds to zero.
+def _flat(a: float, h: float) -> bool:
+    """Whether the law is its ``a = 0`` limit to double precision: ``a h < 2^-53``.
+
+    Below that, ``v expm1(-a h)`` can fall below the normal range and round
+    the draws to a few values.
+    """
+    return a * h < 2.0 ** -53
+
+
 def _cap_mass(a: float, h: float) -> float:
-    """Its mass, ``-expm1(-a h) / a``, and ``h`` at ``a = 0``."""
-    return -math.expm1(-a * h) / a if a else h
+    """Its mass, ``-expm1(-a h) / a``, and ``h`` where the law is flat."""
+    return h if _flat(a, h) else -math.expm1(-a * h) / a
 
 
 def _cap_cosine(a: float, h: float, v):
     """Its inverse CDF from the mode, ``v`` = 0 at the mode to 1 at the cap's rim."""
-    return 1.0 + np.log1p(v * math.expm1(-a * h)) / a if a else 1.0 - h * v
+    return 1.0 - h * v if _flat(a, h) else 1.0 + np.log1p(v * math.expm1(-a * h)) / a
 
 
 def _hemisphere_exp_integral(cluster: VmfCluster) -> float:

@@ -45,7 +45,6 @@ from fieldsamp.analysis import (
     _grid_half,
     _interp_matrix,
     _mirror_rows,
-    _quadrant_rows,
 )
 from fieldsamp.lattice import MIRRORS, _mirror_group
 from fieldsamp.scattering import ScatteringScenario, VmfCluster, _kept_mirrors
@@ -88,7 +87,7 @@ STRUCTURED = [
 ]
 
 
-def _dense_half_squared_errors(total, q, kern, pts, axis, samples, truth):
+def _dense_half_squared_errors(total, kern, pts, axis, samples, truth):
     """Oracle for ``analysis._add_squared_errors``: the dense half-row build.
 
     The kernel is evaluated on every grid row up to the centre, whatever the
@@ -920,7 +919,7 @@ class TestQuadrantRows:
         # one shift of a line per chunk, or several
         for rows in (1, 100):
             counted, sizes = counting_kernel(kern)
-            got = _assembled(_quadrant_rows(counted, pts, axis, rows), len(query))
+            got = _assembled(_mirror_rows(counted, pts, axis, query, True, rows), len(query))
             # rows were reused, and no kernel call exceeds the element budget
             assert sum(sizes) < want.size
             assert max(sizes) <= analysis._INTERP_ELEMS
@@ -932,9 +931,11 @@ class TestQuadrantRows:
     def test_without_reuse_rows_are_dense(self, q, kern, side):
         pts = enumerate_lattice(q, Region(side=side * LAM))
         axis, query = _quadrant_query(side * LAM)
-        assert _quadrant_rows(kern, pts, axis, 1) is None
-        # the quadrant rows that the reconstruction streams are then built densely
-        rows = _assembled(_mirror_rows(kern, pts, axis, query, True, 64), len(query))
+        # the quadrant rows that the reconstruction streams are built densely:
+        # one kernel value per row entry, none gathered from a period line
+        counted, sizes = counting_kernel(kern)
+        rows = _assembled(_mirror_rows(counted, pts, axis, query, True, 64), len(query))
+        assert sum(sizes) == rows.size
         assert np.array_equal(rows, _interp_matrix(kern, query, pts.positions))
 
     def test_hex_kernel_work_is_one_period(self):
@@ -943,8 +944,8 @@ class TestQuadrantRows:
         # n - c (1, -1), lines 1..7 serve c = 0..4 over the first 1691
         kern, sizes = counting_kernel(kernel_disk(KN))
         pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
-        axis, _ = _quadrant_query(20.0 * LAM)
-        for _ in _quadrant_rows(kern, pts, axis, 1):
+        axis, query = _quadrant_query(20.0 * LAM)
+        for _ in _mirror_rows(kern, pts, axis, query, True, 1):
             pass
         assert len(pts) == 1415 and len(axis) == 81
         assert sum(sizes) == 41 * (1760 + 7 * 1691) == 557477
@@ -954,7 +955,7 @@ class TestQuadrantRows:
         # 41^2 x 1415 quadrant matrix (19 MB), and no kernel call exceeds the
         # budget; one kernel call's own temporaries (about 4.6 MB at the
         # budget) do not depend on the cell, so they are measured and set aside
-        q, pts = nyquist_hex(KN), enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
+        pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
         axis, query = _quadrant_query(20.0 * LAM)
         kern, sizes = counting_kernel(kernel_disk(KN))
         rng = np.random.default_rng(0)
@@ -968,7 +969,7 @@ class TestQuadrantRows:
             kern(diff)
             one_call = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            analysis._add_squared_errors(total, q, kern, pts, axis, samples, truth)
+            analysis._add_squared_errors(total, kern, pts, axis, samples, truth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1058,3 +1059,64 @@ class TestMseSweep:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="regions"):
             mse_sweep(ISO, self.SCHEMES, [], n_realizations=2, n_waves=16)
+
+
+def _exact_and_floor(q, kern, region):
+    """Exact expected squared error of the cardinal series, and the Wiener floor, per grid point.
+
+    The reconstruction is linear in the samples, so at grid point ``r`` the
+    isotropic field's expected squared error is ``1 - 2 f.x + f.C f`` with
+    ``f`` the interpolation row, ``x_n = c(r - r_n)`` and ``C`` the samples'
+    autocorrelation matrix; no linear estimator from the same samples beats
+    the Wiener (LMMSE) error ``1 - x.C+ x``, with eigenvalues below 1e-10 of
+    the largest cut from the pseudo-inverse.
+    """
+    pts = enumerate_lattice(q, region)
+    h = _grid_half(ISO, region)
+    axis = LAM / 8 * np.arange(-h, h + 1)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    f = _interp_matrix(kern, grid, pts.positions)
+    x = ClarkeAcf(KN).eval_many(grid[:, None] - pts.positions[None]).real
+    c = build_autocorr_matrix(pts, ClarkeAcf(KN)).entries.real
+    exact = 1.0 - 2.0 * np.sum(f * x, axis=1) + np.sum((f @ c) * f, axis=1)
+    w, v = np.linalg.eigh(c)
+    keep = w > 1e-10 * w.max()
+    floor = 1.0 - np.sum((x @ v[:, keep]) ** 2 / w[keep], axis=1)
+    return exact, floor
+
+
+class TestMseOracle:
+    # every build of mse_sweep: separable, quadrant with a period, quadrant
+    # without one, half rows
+    SCHEMES = [
+        (nyquist_rect(KN), kernel_rect(KN)),
+        (nyquist_rect(Wavenumber.from_wavelength(LAM / 0.8)), kernel_rect(KN, scale=0.8)),
+        (nyquist_hex(KN), kernel_disk(KN)),
+        (nyquist_ellipse(KN, ELLIPSE), kernel_ellipse(KN, ELLIPSE)),
+        (nyquist_ellipse(KN, ROTATED), kernel_ellipse(KN, ROTATED)),
+    ]
+    SIDES = (2.0, 4.0)
+
+    def test_monte_carlo_mse_matches_exact(self):
+        # 128 one-realization sweeps give each cell's mean and standard error
+        regions = [Region(side=v * LAM) for v in self.SIDES]
+        runs = np.array([[[rep.average for rep in cells] for cells in
+                          mse_sweep(ISO, self.SCHEMES, regions, n_realizations=1,
+                                    seed=seed, n_waves=1024)]
+                         for seed in range(5000, 5128)])
+        mean, stderr = runs.mean(axis=0), runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+        for i, region in enumerate(regions):
+            for j, (q, kern) in enumerate(self.SCHEMES):
+                exact, floor = _exact_and_floor(q, kern, region)
+                assert abs(mean[i, j] - exact.mean()) < 4.0 * stderr[i, j], (i, j)
+                assert (exact - floor).min() >= -1e-9, (i, j)
+
+    @pytest.mark.parametrize("side, hex_db, rect_db", [(2.0, -8.432, -11.285),
+                                                        (4.0, -10.063, -13.452)])
+    def test_exact_mse_reproduces_table(self, side, hex_db, rect_db):
+        # the isotropic table of exact averages, in dB
+        region = Region(side=side * LAM)
+        for (q, kern), want in [(self.SCHEMES[2], hex_db), (self.SCHEMES[0], rect_db)]:
+            exact, _ = _exact_and_floor(q, kern, region)
+            assert 10.0 * math.log10(exact.mean()) == pytest.approx(want, abs=5e-4)

@@ -163,10 +163,13 @@ class TestSpectralFactor:
         half = math.pi * (1.0 - math.exp(-2.0 * alpha)) / alpha
         assert _hemisphere_exp_integral(cluster) == pytest.approx(half, rel=1e-11)
 
-    @pytest.mark.parametrize("theta, alpha", [(math.radians(10.0), 1e-17), (0.0, 1e-300)],
-                             ids=["tilted", "zenith"])
+    @pytest.mark.parametrize("theta, alpha", [
+        (math.radians(10.0), 1e-17), (0.0, 1e-300),
+        (math.radians(10.0), 5e-324), (0.0, 5e-324),
+    ], ids=["tilted", "zenith", "tilted-subnormal", "zenith-subnormal"])
     def test_tiny_concentration_normalizes_as_isotropic(self, theta, alpha):
-        # 1 - exp(-alpha) rounds to zero here; the mass written with expm1 does not
+        # 1 - exp(-alpha) rounds to zero here; the mass written with expm1, or
+        # the flat law's, does not
         cluster = VmfCluster(1.0, theta, 0.0, alpha)
         assert _hemisphere_exp_integral(cluster) == pytest.approx(2.0 * math.pi, rel=1e-12)
 

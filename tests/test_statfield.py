@@ -285,8 +285,9 @@ class TestSynthesize:
         assert np.hypot(k[:, 0], k[:, 1]).max() < KN.kappa
         assert gains.shape == (4096,)
 
-    @pytest.mark.parametrize("theta_deg, alpha", [(10.0, 1e-17), (0.0, 1e-300)],
-                             ids=["tilted", "zenith"])
+    @pytest.mark.parametrize("theta_deg, alpha", [
+        (10.0, 1e-17), (0.0, 1e-300), (10.0, 5e-324), (0.0, 5e-324),
+    ], ids=["tilted", "zenith", "tilted-subnormal", "zenith-subnormal"])
     def test_tiny_concentration_draws_as_isotropic(self, theta_deg, alpha):
         # a near-isotropic cluster's cosines to the zenith are uniform on [0, 1]:
         # mean 1/2, variance 1/12, whose draws' standard errors are sqrt(1/12 n)
