@@ -160,7 +160,7 @@ class AutocorrMatrix:
         def gather(reps, stab, chi):
             out = np.zeros((len(reps), len(reps)))
             # row chunks keep the key and value temporaries small
-            step = max(1, _GATHER_ELEMS // max(1, len(reps)))
+            step = max(1, _INTERP_ELEMS // max(1, len(reps)))
             for g, sign in zip(group, chi):
                 col = code[g[reps]]
                 for r0 in range(0, len(reps), step):
@@ -174,9 +174,6 @@ class AutocorrMatrix:
             return out
 
         yield from (_hermitian(gather(*p, chi)) for p, chi in zip(parts, chars) if len(p[0]))
-
-
-_GATHER_ELEMS = 1 << 16  # elements per row chunk of a block gather or check
 
 
 def _difference_box(points: LatticePointSet):
@@ -245,7 +242,7 @@ def build_autocorr_matrix(points: LatticePointSet, acf: Acf) -> AutocorrMatrix:
 
 def _hermitian(b: np.ndarray) -> np.ndarray:
     """``b``, once it is checked Hermitian within 1e-12."""
-    step = max(1, _GATHER_ELEMS // max(1, len(b)))
+    step = max(1, _INTERP_ELEMS // max(1, len(b)))
     for r0 in range(0, len(b), step):  # row chunks keep the temporaries small
         if np.abs(b[r0:r0 + step] - b[:, r0:r0 + step].T).max() > 1e-12:
             raise ValueError("autocorrelation matrix must be Hermitian within 1e-12")
@@ -388,7 +385,7 @@ class MseReport:
     n_samples: int
 
 
-_INTERP_ELEMS = 32768
+_INTERP_ELEMS = 32768  # elements per row chunk of a kernel build, block gather or check
 _MSE_GROUP = 128
 
 

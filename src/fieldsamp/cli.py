@@ -200,18 +200,17 @@ def cmd_lattice(args, scenario: ScatteringScenario) -> tuple[dict, dict]:
                   "its points and candidates")
     pts = enumerate_lattice(q, region)
     p = periodicity_from_sampling(q)
-    lam = kn.wavelength
     mu = density(q)
     summary = {
         "scheme": args.scheme,
-        "lambda": lam,
+        "lambda": kn.wavelength,
         "L_over_lambda": args.L,
         "n_points": len(pts),
         "sampling_matrix": q.q.tolist(),
         "periodicity_matrix": p.p.tolist(),
         "density": mu,
-        "gain_vs_rect_half_lambda": efficiency_gain(mu, 4.0 / lam ** 2),
-        "gain_vs_hex": efficiency_gain(mu, 2.0 * math.sqrt(3.0) / lam ** 2),
+        "gain_vs_rect_half_lambda": efficiency_gain(mu, density(nyquist_rect(kn))),
+        "gain_vs_hex": efficiency_gain(mu, density(nyquist_hex(kn))),
     }
     if shape is not None:
         summary["ellipse"] = _shape_dict(shape)

@@ -27,7 +27,8 @@ import numpy as np
 from ._io import write_csv, write_json
 from ._quad import hemisphere_rule, refine
 from .geometry import TWO_PI, Wavenumber
-from .lattice import SamplingMatrix, _lattice_coords, _reduced_basis, periodicity_from_sampling
+from .lattice import (SamplingMatrix, _ellipse_rows, _lattice_coords, _reduced_basis,
+                      periodicity_from_sampling)
 from .scattering import ScatteringScenario, _cap_cosine, _factor_sq
 
 __all__ = [
@@ -178,12 +179,9 @@ class NumericAcf(Acf):
         basis = np.column_stack([u, v])
         gather = indices @ _lattice_coords(p, basis.T)[0].T
         # replicas whose disk reaches the centred cell, whose corners are
-        # (+-u +- v)/2; a reduced basis bounds the candidates' coefficients
+        # (+-u +- v)/2; the swap keeps them l1-major, the order dens is summed in
         reach = kap + 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
-        lim = np.ceil(reach / (0.5 * math.sqrt(3.0) * np.linalg.norm(basis, axis=0)))
-        l1, l2 = np.meshgrid(np.arange(-lim[0], lim[0] + 1),
-                             np.arange(-lim[1], lim[1] + 1), indexing="ij")
-        offsets = np.column_stack([l1.ravel(), l2.ravel()]) @ basis.T
+        offsets = _ellipse_rows(basis[:, ::-1], reach)[:, ::-1] @ basis.T
         offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) < reach]
 
         def level(nodes):

@@ -313,6 +313,17 @@ class TestLattice:
         first = lines[1].split(",")
         assert [int(first[0]), int(first[1])] == list(pts.indices[0])
 
+    @pytest.mark.parametrize("args, lam, own", [
+        (["--scheme", "hex"], "1", "gain_vs_hex"),
+        (["--scheme", "rect"], "0.001", "gain_vs_rect_half_lambda"),
+        (["--scheme", "ellipse", "--a1", "1", "--a2", "1"], "123.4", "gain_vs_hex"),
+    ], ids=["hex", "rect", "circle"])
+    def test_gain_against_its_own_lattice_is_zero(self, tmp_path, args, lam, own):
+        # the references are the package's own rect and hex lattices
+        res = run_cli(["lattice", *args, "--L", "2", "--lambda", lam, "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert read_json(tmp_path / "out" / "lattice_summary.json")[own] == 0.0
+
     def test_ellipse_from_scenario(self, tmp_path, scen2):
         res = run_cli(["lattice", "--scheme", "ellipse", "--L", "10",
                        "--scenario", scen2, "--out", "out"], tmp_path)
