@@ -417,14 +417,17 @@ def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
 
     With ``G`` grid points, at most ``N ~ area / |det Q|`` samples per scheme
     and ``n = min(R, 128)`` realizations per group: the group's truth on the
-    grid (``16 G n``), one scheme's samples and their four mirror
-    permutations side by side (``80 N n``), and ``r`` streamed rows over the
-    samples and over the permuted samples' ``8 n`` columns, ``8 r (N + 32 n)``:
-    a chunk, its product and its gathered truth and errors, a few copies
-    each.  ``r = 2 n + 3 (h + 1)`` for the grid's half-width ``h``: a chunk
-    has fewer than ``2 n + h + 1`` rows, and a period line's table holds
-    ``h + 1`` rows over fewer than ``2 N`` samples.  Last, one kernel call's
-    temporaries, about 20 arrays of ``_INTERP_ELEMS`` values.  The waves: the
+    grid (``16 G n``); one scheme's samples (``16 N n``) and, beside them,
+    their character projection (``16 N n``) or the half-row build's samples
+    and reversal side by side (``32 N n``), so ``48 N n`` at most; and ``r``
+    streamed rows over the samples, half as many again for a chunk's
+    character gathers, and ``32 n`` columns more, ``8 r (3 N / 2 + 32 n)``:
+    a chunk, its gathers, its products over the mirrors' ``8 n`` columns and
+    its gathered truth and errors, a few copies each.  ``r = 2 n + 3 (h + 1)``
+    for the grid's half-width ``h``: a chunk has fewer than ``2 n + h + 1``
+    rows, and a period line's table holds ``h + 1`` rows over fewer than
+    ``2 N`` samples.  Last, one kernel call's temporaries, about 20 arrays
+    of ``_INTERP_ELEMS`` values.  The waves: the
     group's ``M`` waves per realization, 34 bytes each (a wavevector and a
     gain, 32), plus one draw's temporaries, ``(34 n + 96) M``; and a
     synthesis chunk's two exponential tables of ``min(M, _NODE_CHUNK)``
@@ -434,8 +437,8 @@ def _mse_peak_bytes(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, K
     n_points = max(region.area / abs(q.det) for q, _ in schemes)
     group = min(n_realizations, _MSE_GROUP)
     rows = 2 * group + 3 * (h + 1)
-    return (16.0 * (2 * h + 1) ** 2 * group + 80.0 * n_points * group
-            + 8.0 * rows * (n_points + 32 * group) + 160.0 * _INTERP_ELEMS
+    return (16.0 * (2 * h + 1) ** 2 * group + 48.0 * n_points * group
+            + 8.0 * rows * (1.5 * n_points + 32 * group) + 160.0 * _INTERP_ELEMS
             + (34.0 * group + 96.0) * n_waves + 32.0 * (2 * h + 1) * min(n_waves, _NODE_CHUNK))
 
 
@@ -469,7 +472,9 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
     complex table, so at most ``min(R, 128) * n_grid * 16`` bytes of it are
     held whatever ``n_realizations`` (R) is, next to one scheme's samples
     (``min(R, 128) * N * 16`` bytes) and, for a cell reconstructed through
-    its mirrors, their permutations (up to four times that).  Each cell's
+    its mirrors, their projection onto the mirror group's characters (as
+    large again) or, with two mirrors, the samples and their reversal (twice
+    that).  Each cell's
     interpolation rows are rebuilt per group, once when R <= 128, and
     streamed: each chunk of rows is applied to the whole group and dropped,
     so at most one chunk is held, of about ``2 min(R, 128)`` rows (shifts
@@ -500,9 +505,12 @@ def mse_sweep(s: ScatteringScenario, schemes: list[tuple[SamplingMatrix, Kernel]
       the point with the samples permuted.  With both axis flips (hex, an
       unrotated ellipse) only the grid quadrant ``x, y <= 0`` is built,
       about a quarter of the rows; otherwise (a rotated ellipse, a sheared
-      ``Q``) the ``(G+1)//2`` rows up to the grid centre.  One product per
-      chunk of rows against the samples and their permutations gives the
-      grid points those rows reach.
+      ``Q``) the ``(G+1)//2`` rows up to the grid centre.  A chunk of rows
+      gives the grid points its mirrors reach: with two mirrors by one
+      product against the samples and their reversal, with four by one
+      product per character of the group against the samples projected
+      onto it, a quarter of the flops of a product against four permuted
+      copies (``_mirrored_reconstruction``).
     - Within the quadrant, when ``p`` grid steps along a grid axis make a
       lattice vector ``Q m`` (hex: ``(0, wavelength)``, ``p = 8``), the row
       ``p`` steps on is the row over the samples shifted by ``m``, so the
@@ -665,11 +673,21 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     four elements (both axis flips) only the quadrant ``x, y <= 0`` is
     built, otherwise (a rotated ellipse, a sheared ``Q``) the rows up to the
     grid centre; ``_mirror_rows`` makes them.  The rows come in chunks, and
-    each chunk is multiplied against the samples and their permutations and
-    dropped, so no more than a chunk of rows is ever held; the grid points
-    that different rows reach are disjoint.  The centre row is built first
-    and checked against each mirror within 1e-12, so a kernel the mirrors do
-    not keep raises before the first piece.
+    each chunk is applied to the samples and dropped, so no more than a
+    chunk of rows is ever held; the grid points that different rows reach
+    are disjoint.  The centre row is built first and checked against each
+    mirror within 1e-12, so a kernel the mirrors do not keep raises before
+    the first piece.
+
+    Row ``f`` reconstructs ``r_h = sum_j f[j] s[h j]`` at its mirror ``h``.
+    Two mirrors take one product against the samples and their reversal
+    side by side.  Four go through the group's characters ``chi``, as
+    ``AutocorrMatrix.blocks`` does: with ``S_chi[o] = sum_g chi(g) s[g o]``
+    and ``F_chi[o] = sum_g chi(g) f[g o] / |stab o|`` over the orbit
+    representatives ``o`` that ``chi`` keeps (``N`` in all),
+    ``r_h = 1/4 sum_chi chi(h) F_chi . S_chi``: the samples are projected
+    once, and each chunk takes four products of about ``N/4`` columns
+    instead of one against four permuted copies.
     """
     base = kern.support.to_base
 
@@ -677,7 +695,7 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
         b = base @ flip @ np.linalg.inv(base)
         return np.abs(b @ b.T - np.eye(2)).max() < 1e-12
 
-    names, group, signs, _, _ = _mirror_group(pts, keeps_support)
+    names, group, signs, chars, parts = _mirror_group(pts, keeps_support)
     size = len(axis)
     h = size // 2
     centre = _interp_matrix(kern, np.array([[axis[h], axis[h]]]), pts.positions)[0]
@@ -691,24 +709,47 @@ def _mirrored_reconstruction(kern: Kernel, pts: LatticePointSet, axis: np.ndarra
     # a grid point that several mirrors of a row reach takes the first one's
     # value: the identity's, on a row that a mirror maps onto itself
     firsts = np.array([(dests[:k] != dests[k]).all(axis=0) for k in range(len(group))])
-    # per mirror, the permuted samples' real parts, then their imaginary
-    # parts, side by side, so that each chunk takes one product; a mirror is
-    # its own inverse, so scattering the samples by it permutes them, with
-    # no copy of the samples on the way
+    # real parts, then imaginary parts, side by side: one product per block
     n = samples.shape[1]
-    stack = np.empty((len(pts), 2 * len(group) * n))
-    parts = stack.reshape(len(pts), len(group), 2, n)
-    for k, perm in enumerate(group):
-        parts[perm, k, 0], parts[perm, k, 1] = samples.real, samples.imag
+    if quadrant:
+        # per character, the gathers g o and a block of the projected samples
+        cols = [group[:, reps] for reps, _ in parts]
+        proj = np.zeros((len(pts), 2 * n))
+        blocks = np.split(proj, np.cumsum([len(reps) for reps, _ in parts])[:-1])
+        for chi, c, s_chi in zip(chars, cols, blocks):
+            for sign, g in zip(chi, c):
+                part = sign * samples[g]
+                s_chi[:, :n] += part.real
+                s_chi[:, n:] += part.imag
+        del part
+    else:
+        # the samples and their reversal; a mirror is its own inverse, so
+        # scattering the samples by it permutes them, with no copy on the way
+        stack = np.empty((len(pts), len(group), 2, n))
+        for k, perm in enumerate(group):
+            stack[perm, k, 0], stack[perm, k, 1] = samples.real, samples.imag
+        stack = stack.reshape(len(pts), -1)
     # chunks of at least 2 n rows, as many as the group has real and imaginary
-    # columns: on fewer, repacking the stack for every product costs time
+    # columns: on fewer, repacking the samples for every product costs time
     query = np.column_stack([axis[ii], axis[jj]])
     for rows, f in _mirror_rows(kern, pts, axis, query, quadrant, 2 * n):
-        first = firsts[:, rows]
-        # (mirror, row) pairs, each with its reconstructions
-        yield (dests[:, rows][first],
-               (f @ stack).reshape(len(rows), len(group), 2 * n).transpose(1, 0, 2)[first])
-        del f  # before the next chunk is built
+        if quadrant:
+            out = np.zeros((len(group), len(rows), 2 * n))
+            for chi, c, (_, stab), s_chi in zip(chars, cols, parts, blocks):
+                f_chi = f[:, c[0]]
+                for sign, g in zip(chi[1:], c[1:]):
+                    (np.add if sign > 0 else np.subtract)(f_chi, f[:, g], out=f_chi)
+                f_chi *= 0.25 / stab  # a power of two: no rounding
+                r_chi = f_chi @ s_chi
+                for k, sign in enumerate(chi):
+                    (np.add if sign > 0 else np.subtract)(out[k], r_chi, out=out[k])
+                del f_chi, r_chi
+        else:
+            out = (f @ stack).reshape(len(rows), len(group), 2 * n).transpose(1, 0, 2)
+        del f  # before the pieces are consumed
+        for k, first in enumerate(firsts[:, rows]):
+            yield dests[k, rows][first], out[k] if first.all() else out[k][first]
+        del out  # before the next chunk is built
 
 
 def _mirror_rows(kern: Kernel, pts: LatticePointSet, axis: np.ndarray, query: np.ndarray,

@@ -900,6 +900,32 @@ TURNED = EllipseShape(a1=1.0, a2=1.0, phi=0.5 * math.pi)
 FITTED = EllipseShape(a1=0.4658, a2=0.4658, phi=0.5 * math.pi)
 
 
+def _hex_cell_traced(kern, n):
+    """The points, the quadrant query and the traced peak of one hex L=20 cell of ``n`` fields.
+
+    One kernel call's own temporaries (about 3.4 MB at the budget) do not
+    depend on the cell, so they are measured and set aside.
+    """
+    pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
+    axis, query = _quadrant_query(20.0 * LAM)
+    rng = np.random.default_rng(0)
+    n_grid = len(axis) ** 2
+    samples = rng.standard_normal((len(pts), n)) + 1j * rng.standard_normal((len(pts), n))
+    truth = rng.standard_normal((n_grid, n)) + 1j * rng.standard_normal((n_grid, n))
+    total = np.zeros(n_grid)
+    diff = query[:analysis._INTERP_ELEMS // len(pts), None] - pts.positions[None]
+    tracemalloc.start()
+    try:
+        kern(diff)
+        one_call = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        analysis._add_squared_errors(total, kern, pts, axis, samples, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return pts, query, peak - one_call
+
+
 class TestQuadrantRows:
     # hex repeats every 8 grid steps along y, lattice vector (0, lambda);
     # ELLIPSE every 16, (0, 2 lambda); at 8 lambda the ELLIPSE quadrant has 17
@@ -953,30 +979,24 @@ class TestQuadrantRows:
     def test_hex_rows_are_streamed(self):
         # one hex L=20 cell holds a grid line of rows at a time, not the
         # 41^2 x 1415 quadrant matrix (19 MB), and no kernel call exceeds the
-        # budget; one kernel call's own temporaries (about 4.6 MB at the
-        # budget) do not depend on the cell, so they are measured and set aside
-        pts = enumerate_lattice(nyquist_hex(KN), Region(side=20.0 * LAM))
-        axis, query = _quadrant_query(20.0 * LAM)
+        # budget
         kern, sizes = counting_kernel(kernel_disk(KN))
-        rng = np.random.default_rng(0)
-        n, n_grid = 16, len(axis) ** 2
-        samples = rng.standard_normal((len(pts), n)) + 1j * rng.standard_normal((len(pts), n))
-        truth = rng.standard_normal((n_grid, n)) + 1j * rng.standard_normal((n_grid, n))
-        total = np.zeros(n_grid)
-        diff = query[:analysis._INTERP_ELEMS // len(pts), None] - pts.positions[None]
-        tracemalloc.start()
-        try:
-            kern(diff)
-            one_call = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            analysis._add_squared_errors(total, kern, pts, axis, samples, truth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        pts, query, traced = _hex_cell_traced(kern, 16)
         quadrant_bytes = 8 * len(query) * len(pts)
         assert quadrant_bytes > 19e6
-        assert peak - one_call < quadrant_bytes / 4, (peak, one_call)
+        assert traced < quadrant_bytes / 4, traced
         assert max(sizes) <= analysis._INTERP_ELEMS
+
+    def test_hex_samples_are_projected_not_copied(self):
+        # a hex L=20 cell of 128 realizations holds the samples' projection
+        # onto the mirror group's characters, as large as the samples, and one
+        # chunk of about 2 n rows over the samples with its character gathers
+        # and products: under three times the samples' 2.9 MB, where four
+        # permuted copies of the samples alone take four times
+        n = 128
+        pts, _, traced = _hex_cell_traced(kernel_disk(KN), n)
+        sample_bytes = 16 * len(pts) * n
+        assert traced < 3 * sample_bytes, (traced, sample_bytes)
 
     def test_hex_mse_matches_dense_half_rows(self, monkeypatch):
         s, region = broadside_cluster(40.0), Region(side=8.0 * LAM)
