@@ -116,8 +116,6 @@ def _ellipse_shape(args, scenario: ScatteringScenario) -> EllipseShape:
                                 phi=math.radians(args.phi_deg or 0.0))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if not getattr(args, "scenario", None):
-        raise ConfigError("an ellipse support needs --a1/--a2 or --scenario to fit from")
     return _fitted_shape(scenario, args.threshold_db)
 
 

@@ -222,14 +222,8 @@ def kernel_ellipse(kn: Wavenumber, shape: EllipseShape) -> Kernel:
     with its support, so rotating the ellipse by ``phi`` rotates the kernel
     profile by ``phi`` too.
     """
-    kap = kn.kappa
-    m = shape.shape_matrix
-
-    def fn(r):
-        mapped = r @ m
-        return _DISK_AMP * jinc(kap * np.hypot(mapped[..., 0], mapped[..., 1]))
-
-    return Kernel(support=SpectralSupport.ellipse(kn, shape), peak=0.5 * _DISK_AMP, fn=fn)
+    disk, m = kernel_disk(kn).fn, shape.shape_matrix
+    return Kernel(SpectralSupport.ellipse(kn, shape), 0.5 * _DISK_AMP, fn=lambda r: disk(r @ m))
 
 
 _ORACLE_LEVELS = (16, 32, 64, 128, 256, 512)

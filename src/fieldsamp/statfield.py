@@ -85,7 +85,6 @@ class ClarkeAcf(Acf):
 
     def __init__(self, kn: Wavenumber):
         self.kn = kn
-        self.scenario = None
 
     def eval_many(self, disp: np.ndarray) -> np.ndarray:
         disp = np.asarray(disp, dtype=float)

@@ -38,6 +38,7 @@ from fieldsamp import (
     power_capture_count,
     reconstruct,
     rotation_matrix,
+    synthesize,
 )
 from fieldsamp import analysis
 from fieldsamp.analysis import (
@@ -648,6 +649,20 @@ class TestReconstruct:
         fr = FieldRealization(posr, f0.values, 0, 1, "plane-wave")
         out = reconstruct(fr, qr, kernel_ellipse(KN, rot_shape), query0 @ rot.T)
         assert np.allclose(out, ref, atol=1e-10)
+
+    def test_real_samples_give_the_real_part(self):
+        # real values take the one real product; complex ones take two
+        q = nyquist_hex(KN)
+        pts = enumerate_lattice(q, Region(side=6.0 * LAM))
+        real = synthesize(broadside_cluster(40.0), pts.positions, seed=3).values.real
+        query = np.array([[0.0, 0.0], [0.13, -0.4], [0.9, 0.7]])
+        out = reconstruct(FieldRealization(pts.positions, real, 3, 1024, "h"), q,
+                          kernel_disk(KN), query)
+        both = reconstruct(FieldRealization(pts.positions, real.astype(complex), 3, 1024, "h"),
+                           q, kernel_disk(KN), query)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, both.real)
+        assert np.array_equal(both.imag, np.zeros(len(query)))
 
     def test_query_shape_validation(self):
         q = nyquist_hex(KN)

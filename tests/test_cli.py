@@ -78,9 +78,7 @@ class TestUsage:
     @pytest.mark.parametrize("args", [
         ["lattice", "--scheme", "hex", "--L", "-3"],
         ["lattice", "--scheme", "hex", "--L", "4", "--lambda", "0"],
-        ["lattice", "--scheme", "ellipse", "--L", "4"],
         ["lattice", "--scheme", "ellipse", "--L", "4", "--a1", "0.5"],
-        ["dof", "--L", "10", "--support", "ellipse"],
         ["support-fit", "--threshold-db", "5"],
         ["mse-sweep", "--realizations", "0"],
         ["reconstruct", "--seed", "-1"],
@@ -603,6 +601,42 @@ class TestMseSweep:
         assert lines[:5] == (tmp_path / "b" / "mse_sweep.csv").read_text().splitlines()
 
 
+class TestDefaultScenarioEllipse:
+    """Without --scenario or axes, the ellipse is fitted to the isotropic
+    spectrum: the unit disk, whose Nyquist lattice is hex."""
+
+    def test_mse_sweep_fits_the_unit_disk(self, tmp_path):
+        # the matched rect lattice is the half-wavelength one
+        res = run_cli(["mse-sweep", "--L-list", "1,2", "--realizations", "2",
+                       "--n-waves", "16", "--out", "out"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        ellipse = read_json(tmp_path / "out" / "mse_sweep_config.json")["ellipse"]
+        assert (ellipse["a1"], ellipse["a2"], ellipse["phi_rad"]) == (1.0, 1.0, 0.0)
+        lines = (tmp_path / "out" / "mse_sweep.csv").read_text().splitlines()
+        written = {tuple(row.split(",")[:2]): row.split(",")[2] for row in lines[1:]}
+        assert len(written) == 8
+        for side in ("1.0", "2.0"):
+            assert written[side, "ellipse_nyquist"] == written[side, "hex"]
+            assert written[side, "rect_matched"] == written[side, "rect_half_lambda"]
+
+    @pytest.mark.parametrize("command, written", [("lattice", "lattice_points.csv"),
+                                                  ("eigs", "eigs.csv")])
+    def test_lattice_is_hex(self, command, written, tmp_path):
+        for scheme in ("ellipse", "hex"):
+            res = run_cli([command, "--scheme", scheme, "--L", "4", "--out", scheme], tmp_path)
+            assert res.returncode == 0, res.stderr
+        assert ((tmp_path / "ellipse" / written).read_bytes()
+                == (tmp_path / "hex" / written).read_bytes())
+
+    def test_dof_counts_as_the_disk(self, tmp_path):
+        for support in ("ellipse", "disk"):
+            res = run_cli(["dof", "--support", support, "--L", "10", "--out", support], tmp_path)
+            assert res.returncode == 0, res.stderr
+        ellipse, disk = (read_json(tmp_path / s / "dof.json") for s in ("ellipse", "disk"))
+        assert ellipse["dof_real"] == disk["dof_real"]
+        assert ellipse["mode_count"] == disk["mode_count"]
+
+
 class TestTinyConcentration:
     @pytest.mark.parametrize("args", [
         ["support-fit", "--L", "2"],
@@ -808,6 +842,17 @@ class TestImports:
                 assert getattr(fieldsamp, name) is getattr(home, name)
         with pytest.raises(AttributeError):
             fieldsamp.no_such_name
+
+    def test_readme_library_example_runs(self, tmp_path):
+        # in a fresh interpreter, so the imports go through the lazy exports
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read().split("## Library example", 1)[1]
+        code = text.split("```python\n", 1)[1].split("```", 1)[0]
+        res = run_python(["-c", code + "print(len(values), np.isfinite(values).all())"],
+                         tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["2", "True"]
 
     @pytest.mark.parametrize("given, seen", [(None, "16"), ("28", "28")])
     def test_cli_sets_a_short_blas_spin_unless_given(self, tmp_path, given, seen):
