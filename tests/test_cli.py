@@ -78,7 +78,9 @@ class TestUsage:
     @pytest.mark.parametrize("args", [
         ["lattice", "--scheme", "hex", "--L", "-3"],
         ["lattice", "--scheme", "hex", "--L", "4", "--lambda", "0"],
+        ["lattice", "--scheme", "ellipse", "--L", "4", "--a1", "0.5", "--a2", "0"],
         ["lattice", "--scheme", "ellipse", "--L", "4", "--a1", "0.5"],
+        ["dof", "--L", "10", "--support", "ellipse", "--a2", "0.5"],
         ["support-fit", "--threshold-db", "5"],
         ["mse-sweep", "--realizations", "0"],
         ["reconstruct", "--seed", "-1"],
